@@ -126,9 +126,11 @@ def s_to_j(s: SFractionCoeffs) -> JFractionCoeffs:
 def moments_from_sfraction(s: SFractionCoeffs, count: int):
     """First ``count`` series coefficients of the one-parameter form.
 
-    Built bottom up: the truncated tail at depth count is 1, and each
-    level wraps it as 1 / (1 - a_k x t).  The reciprocal never divides
-    because every constant term is 1, so moments stay in the base ring.
+    mu_m is the total weight of the Dyck paths of length 2m in which an
+    up step weighs 1 and a down step from height h weighs a_h (Flajolet
+    1980).  One sweep over the 2(count - 1) steps keeps, per height, the
+    weight of the paths that end there: O(count^2) ring operations, and
+    no division, so moments stay in the base ring.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -136,30 +138,34 @@ def moments_from_sfraction(s: SFractionCoeffs, count: int):
         raise InsufficientCoefficients(
             f"need {count - 1} coefficients for {count} moments, got {len(s.terms)}"
         )
-    t = [1] + [0] * (count - 1)
-    for k in range(count - 1, 0, -1):
-        ak = s.terms[k - 1]
-        # u = a_k x t, then t <- 1 / (1 - u)
-        u = [0] * count
-        for i in range(count - 1):
-            if t[i] != 0:
-                u[i + 1] = ak * t[i]
-        nxt = [1] + [0] * (count - 1)
-        for i in range(1, count):
-            acc = 0
-            for j in range(1, i + 1):
-                if u[j] != 0:
-                    acc = acc + u[j] * nxt[i - j]
-            nxt[i] = acc
-        t = nxt
-    return t
+    a = s.terms
+    steps = 2 * (count - 1)
+    # w[h]: weight of the paths of the current length ending at height h.
+    # A step only writes heights of its own parity and reads the other
+    # parity, so one list is updated in place.
+    w = [1] + [0] * count
+    mu = [1]
+    for t in range(1, steps + 1):
+        reach = min(t - 1, steps - t + 1)  # highest height after step t - 1
+        for h in range(t % 2, min(t, steps - t) + 1, 2):
+            if h < reach:
+                down = a[h] * w[h + 1]
+                w[h] = w[h - 1] + down if h else down
+            else:
+                w[h] = w[h - 1]
+        if t % 2 == 0:
+            mu.append(w[0])
+    return mu
 
 
 def moments_from_jfraction(j: JFractionCoeffs, count: int):
     """First ``count`` series coefficients of the two-parameter form.
 
-    Levels below (count - 1) // 2 + 1 cannot reach coefficient
-    count - 1, so the tail starts as 0 there.
+    mu_m is the total weight of the Motzkin paths of length m in which
+    an up step weighs 1, a level step at height h weighs b_h and a down
+    step from height h + 1 weighs l_{h+1}.  Paths that must come back to
+    0 within count - 1 steps never rise above (count - 1) // 2, so only
+    that many levels are needed; the cost is O(count^2).
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -168,26 +174,21 @@ def moments_from_jfraction(j: JFractionCoeffs, count: int):
         raise InsufficientCoefficients(
             f"need {levels} b-coefficients for {count} moments, got {len(j.b)}"
         )
-    g = [0] * count
-    for i in range(levels - 1, -1, -1):
-        # u = b_i x + l_{i+1} x^2 g, then g <- 1 / (1 - u)
-        u = [0] * count
-        if count > 1:
-            u[1] = j.b[i]
-        if i + 1 <= len(j.lam):
-            li = j.lam[i]
-            for kk in range(count - 2):
-                if g[kk] != 0:
-                    u[kk + 2] = u[kk + 2] + li * g[kk]
-        nxt = [1] + [0] * (count - 1)
-        for ii in range(1, count):
-            acc = 0
-            for jj in range(1, ii + 1):
-                if u[jj] != 0:
-                    acc = acc + u[jj] * nxt[ii - jj]
-            nxt[ii] = acc
-        g = nxt
-    return g
+    b, lam = j.b, j.lam
+    w = [1]  # w[h]: weight of the paths of the current length ending at height h
+    mu = [1]
+    for t in range(1, count):
+        nxt = []
+        for h in range(min(t, count - 1 - t) + 1):
+            acc = w[h - 1] if h else 0
+            if h < len(w):
+                acc = acc + b[h] * w[h]
+            if h + 1 < len(w):
+                acc = acc + lam[h] * w[h + 1]
+            nxt.append(acc)
+        w = nxt
+        mu.append(w[0])
+    return mu
 
 
 def qd_sfraction_from_moments(mu) -> SFractionCoeffs:

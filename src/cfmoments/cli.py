@@ -384,8 +384,6 @@ def _cmd_qd(args):
     mu = _parse_value_list(args.moments, 0, "moment list")
     try:
         s = qd_sfraction_from_moments(mu)
-    except QDBreakdownError:
-        raise
     except ValueError as e:
         raise _PreconditionError(str(e)) from None
     return _format_values(list(s.terms), args.format), 0, None
@@ -597,13 +595,18 @@ def run(argv) -> int:
     ) as e:
         print(f"precondition-error: {e}", file=sys.stderr)
         return 3
-    if complaint:
-        print(complaint, file=sys.stderr)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            reason = e.strerror or e
+            print(f"usage-error: cannot write {args.out}: {reason}", file=sys.stderr)
+            return 2
     else:
         print(text)
+    if complaint:
+        print(complaint, file=sys.stderr)
     return code
 
 

@@ -214,7 +214,13 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
     """Full comparison at size n.
 
     Requires a_1 = 1, at least 2n coefficients, and nonvanishing leading
-    Hankel determinants (raises CatalanLikenessError otherwise).
+    Hankel determinants h_0 .. h_{n-1} (raises CatalanLikenessError
+    otherwise).  By the product formula h_k = prod_{j<k} (a_{2j+1}
+    a_{2j+2})^(k-j), and every scalar ring is an integral domain, so the
+    first zero a_i among a_1 .. a_{2n-2} fails the check at order
+    ceil(i / 2).  The last determinant is then computed both ways, by one
+    fraction-free elimination of the moments and by the product formula;
+    disagreement signals a bug and raises.
     """
     if n < 2:
         raise ValueError("size must be at least 2")
@@ -224,10 +230,14 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
         )
     if a.terms[0] != 1:
         raise ValueError("first coefficient must be 1")
+    for i, v in enumerate(a.terms[: 2 * n - 2], start=1):
+        if v == 0:
+            raise CatalanLikenessError((i + 1) // 2)
     mu_long = moments_from_sfraction(a, 2 * n - 1)
-    for k in range(n):
-        if hankel_det(mu_long, k) == 0:
-            raise CatalanLikenessError(k)
+    if hankel_det(mu_long, n - 1) != hankel_from_sfraction(a, n)[-1]:
+        raise ArithmeticError(
+            "internal disagreement between the determinant and product routes"
+        )
     N = build_N_via_behead(a, n)
     N_again = build_N_via_rescale(a, n)
     M = build_M(a, n)

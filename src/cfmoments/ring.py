@@ -546,15 +546,22 @@ def _tokenize(text, var):
     return toks
 
 
+# Each parenthesis level costs the recursive descent four frames, so this
+# stays far below the interpreter's default recursion limit of 1000.
+_MAX_NESTING = 100
+
+
 def parse_scalar(text: str, var: str = "q"):
     """Parse a canonical rendering back to a scalar.
 
     Accepts sums of terms with optional leading minus, integer
-    coefficients and exponents, parenthesized groups, and quotients.
-    round-trips with ``render``.  Errors carry the byte offset.
+    coefficients and exponents, parenthesized groups (at most
+    ``_MAX_NESTING`` deep), and quotients.  round-trips with ``render``.
+    Errors carry the byte offset.
     """
     toks = _tokenize(text, var)
     pos = [0]
+    depth = [0]
 
     def peek():
         return toks[pos[0]]
@@ -577,8 +584,14 @@ def parse_scalar(text: str, var: str = "q"):
         if t[0] == "var":
             return QPoly((0, 1))
         if t[0] == "(":
+            if depth[0] == _MAX_NESTING:
+                raise ScalarParseError(
+                    f"parentheses nested deeper than {_MAX_NESTING}", t[2]
+                )
+            depth[0] += 1
             v = sumexpr()
             expect(")")
+            depth[0] -= 1
             return v
         raise ScalarParseError("expected a value", t[2])
 

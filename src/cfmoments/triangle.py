@@ -40,7 +40,11 @@ class Triangle:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rs = tuple(tuple(r) for r in rows)
+        # Tuples are built from lists, never from generators: CPython
+        # grows a tuple taken from a generator by resizing it, which moves
+        # tuple objects from one per-size free list to another, so a long
+        # run's memory creeps up until those lists fill (a few MB).
+        rs = tuple([tuple(r) for r in rows])
         if not rs:
             raise ValueError("empty triangle")
         for i, r in enumerate(rs):
@@ -65,7 +69,7 @@ class Triangle:
 
     def column(self, k):
         """Column k padded to full height with structural zeros."""
-        return tuple(self.entry(i, k) for i in range(self.size))
+        return tuple([self.entry(i, k) for i in range(self.size)])
 
     def map_entries(self, fn) -> "Triangle":
         return Triangle([[fn(v) for v in r] for r in self.rows])
@@ -92,7 +96,7 @@ class ProductionMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rs = tuple(tuple(r) for r in rows)
+        rs = tuple([tuple(r) for r in rows])
         if not rs:
             raise ValueError("empty production matrix")
         for i, r in enumerate(rs):
@@ -113,7 +117,7 @@ class ProductionMatrix:
 
     @property
     def superdiagonal(self):
-        return tuple(r[i + 1] for i, r in enumerate(self.rows))
+        return tuple([r[i + 1] for i, r in enumerate(self.rows)])
 
     def map_entries(self, fn) -> "ProductionMatrix":
         return ProductionMatrix([[fn(v) for v in r] for r in self.rows])

@@ -108,6 +108,7 @@ def test_exit_zero_on_help(capsys):
         ["verify", "--example", "qcase", "--q", "2", "--q-symbolic"],
         ["verify", "--example", "catalan", "--size", "5"],
         ["verify", "--example", "pascal"],
+        ["qd", "--moments", "1," + "(" * 3000 + "1" + ")" * 3000],
     ],
 )
 def test_exit_two_usage(argv, capsys):
@@ -159,6 +160,17 @@ def test_out_writes_file(tmp_path, capsys):
     )
     assert rc == 0 and out == ""
     assert target.read_text() == "1 1 2 5\n"
+
+
+def test_out_into_missing_directory_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "result.txt"
+    rc, out, err = _run(
+        ["moments", "--spec", "const:1", "--count", "4", "--out", str(target)], capsys
+    )
+    assert rc == 2 and out == ""
+    assert err.startswith(f"usage-error: cannot write {target}: ")
+    assert err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 def test_json_matrix_roundtrip(capsys):

@@ -157,6 +157,13 @@ def test_parse_scalar_errors_carry_offset():
         parse_scalar("")
 
 
+def test_parse_scalar_nesting_limit():
+    assert parse_scalar("(" * 100 + "1 + q" + ")" * 100) == 1 + q
+    with pytest.raises(ScalarParseError) as e:
+        parse_scalar("2*" + "(" * 3000 + "1" + ")" * 3000)
+    assert e.value.offset == 102
+
+
 def test_named_ops_reject_floats():
     with pytest.raises(TypeError):
         add(1.5, 1)
