@@ -20,9 +20,6 @@ __all__ = [
     "QRat",
     "q",
     "is_scalar",
-    "add",
-    "sub",
-    "mul",
     "exact_div",
     "field_div",
     "eval_q",
@@ -78,10 +75,18 @@ class QPoly:
         """Canonical int-or-QPoly from a coefficient sequence."""
         cs = _strip(coeffs)
         _check_int_coeffs(cs)
-        if not cs:
-            return 0
-        if len(cs) == 1:
-            return cs[0]
+        return QPoly._from_ints(cs)
+
+    @staticmethod
+    def _from_ints(cs):
+        """``make`` for a list of ints built by this module's own arithmetic.
+
+        Trusted: skips the coefficient type check and strips ``cs`` in place.
+        """
+        while cs and cs[-1] == 0:
+            cs.pop()
+        if len(cs) < 2:
+            return cs[0] if cs else 0
         p = object.__new__(QPoly)
         p.coeffs = tuple(cs)
         return p
@@ -96,11 +101,11 @@ class QPoly:
         if isinstance(other, int):
             cs = list(self.coeffs)
             cs[0] += other
-            return QPoly.make(cs)
+            return QPoly._from_ints(cs)
         if isinstance(other, QPoly):
             a, b = self.coeffs, other.coeffs
             n = max(len(a), len(b))
-            return QPoly.make(
+            return QPoly._from_ints(
                 [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
             )
         if isinstance(other, Fraction):
@@ -110,7 +115,7 @@ class QPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly([-c for c in self.coeffs])
+        return QPoly._from_ints([-c for c in self.coeffs])
 
     def __sub__(self, other):
         if isinstance(other, (int, QPoly, Fraction)) and not isinstance(other, bool):
@@ -126,7 +131,7 @@ class QPoly:
         if isinstance(other, bool):
             return NotImplemented
         if isinstance(other, int):
-            return QPoly.make([c * other for c in self.coeffs])
+            return QPoly._from_ints([c * other for c in self.coeffs])
         if isinstance(other, QPoly):
             a, b = self.coeffs, other.coeffs
             out = [0] * (len(a) + len(b) - 1)
@@ -134,7 +139,7 @@ class QPoly:
                 if ca:
                     for j, cb in enumerate(b):
                         out[i + j] += ca * cb
-            return QPoly.make(out)
+            return QPoly._from_ints(out)
         if isinstance(other, Fraction):
             return QRat.make(self * other.numerator, other.denominator)
         return NotImplemented
@@ -190,30 +195,31 @@ def _zq_coeffs(x):
     return (x,) if isinstance(x, int) else x.coeffs
 
 
-def _content(cs):
-    g = 0
-    for c in cs:
-        g = math.gcd(g, abs(c))
-    return g
+def _prem(a, b):
+    """Pseudo-remainder of a by b over the integers (coefficient lists).
 
-
-def _frac_mod(a, b):
-    """Remainder of a by b over the rationals (coefficient lists)."""
-    a = list(a)
+    Each step replaces a by lc(b)·a − lc(a)·q^k·b, which cancels the top
+    coefficient; the result is an integer multiple of the remainder over
+    the rationals.
+    """
     db, lb = len(b) - 1, b[-1]
-    while a and len(a) - 1 >= db:
-        f = a[-1] / lb
-        base = len(a) - 1 - db
-        for j in range(db + 1):
-            a[base + j] -= f * b[j]
-        a.pop()
+    while len(a) > db:
+        la, k = a[-1], len(a) - 1 - db
+        a = [lb * c for c in a[:-1]]
+        for j in range(db):
+            a[k + j] -= la * b[j]
         while a and a[-1] == 0:
             a.pop()
     return a
 
 
 def _zq_gcd(x, y):
-    """gcd in the polynomial ring, normalized to positive leading coefficient."""
+    """gcd in the polynomial ring, normalized to positive leading coefficient.
+
+    Primitive polynomial remainder sequence: the contents are split off
+    and each pseudo-remainder is divided by its content, so every step
+    stays in the integers (Collins 1967; Brown 1971).
+    """
     xs, ys = _strip(_zq_coeffs(x)), _strip(_zq_coeffs(y))
     if not xs and not ys:
         raise ZeroDivisionError("gcd(0, 0)")
@@ -221,22 +227,26 @@ def _zq_gcd(x, y):
         zs = xs or ys
         if zs[-1] < 0:
             zs = [-c for c in zs]
-        return QPoly.make(zs)
-    cx, cy = _content(xs), _content(ys)
-    a = [Fraction(c, cx) for c in xs]
-    b = [Fraction(c, cy) for c in ys]
-    while b:
-        a, b = b, _frac_mod(a, b)
-    den = 1
-    for c in a:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in a]
-    g = _content(ints)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
+        return QPoly._from_ints(zs)
+    cx, cy = math.gcd(*xs), math.gcd(*ys)
     cg = math.gcd(cx, cy)
-    return QPoly.make([c * cg for c in ints])
+    if len(xs) == 1 or len(ys) == 1:
+        return cg
+    a = [c // cx for c in xs]
+    b = [c // cy for c in ys]
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        r = _prem(a, b)
+        if not r:
+            break
+        if len(r) == 1:
+            return cg
+        cr = math.gcd(*r)
+        a, b = b, [c // cr for c in r]
+    if b[-1] < 0:
+        cg = -cg
+    return QPoly._from_ints([c * cg for c in b])
 
 
 def _zq_exact_div(x, y):
@@ -260,7 +270,7 @@ def _zq_exact_div(x, y):
             xs[k + j] -= quot * yc
     if any(xs):
         raise ExactDivisionError(f"{render(x)} not divisible by {render(y)}")
-    return QPoly.make(out)
+    return QPoly._from_ints(out)
 
 
 def _as_zq_pair(x):
@@ -308,8 +318,9 @@ class QRat:
         if n == 0:
             return 0
         g = _zq_gcd(n, d)
-        n = _zq_exact_div(n, g)
-        d = _zq_exact_div(d, g)
+        if g != 1:
+            n = _zq_exact_div(n, g)
+            d = _zq_exact_div(d, g)
         if _zq_coeffs(d)[-1] < 0:
             n, d = -n, -d
         if d == 1:
@@ -401,24 +412,6 @@ def is_scalar(x) -> bool:
 def _require_scalar(x):
     if not is_scalar(x):
         raise TypeError(f"incompatible ring value: {x!r}")
-
-
-def add(x, y):
-    _require_scalar(x)
-    _require_scalar(y)
-    return x + y
-
-
-def sub(x, y):
-    _require_scalar(x)
-    _require_scalar(y)
-    return x - y
-
-
-def mul(x, y):
-    _require_scalar(x)
-    _require_scalar(y)
-    return x * y
 
 
 def field_div(x, y):
@@ -550,6 +543,28 @@ def _tokenize(text, var):
 # stays far below the interpreter's default recursion limit of 1000.
 _MAX_NESTING = 100
 
+# A power is refused before it is computed when its q-degree or the bit
+# length of its coefficients could exceed these.  The largest power in
+# the reference outputs is q^22.
+_MAX_POWER_DEGREE = 1000
+_MAX_POWER_BITS = 100_000
+
+
+def _power_too_big(v, e):
+    """True when v**e could pass either power limit.
+
+    Bounds from the base alone: each side of v is an integer polynomial p,
+    deg(p^e) = e·deg(p), and every coefficient of p^e is at most
+    (Σ|coefficients of p|)^e in absolute value.
+    """
+    for z in _as_zq_pair(v):
+        cs = _zq_coeffs(z)
+        if (len(cs) - 1) * e > _MAX_POWER_DEGREE:
+            return True
+        if max(sum(map(abs, cs)) - 1, 0).bit_length() * e > _MAX_POWER_BITS:
+            return True
+    return False
+
 
 def parse_scalar(text: str, var: str = "q"):
     """Parse a canonical rendering back to a scalar.
@@ -557,7 +572,8 @@ def parse_scalar(text: str, var: str = "q"):
     Accepts sums of terms with optional leading minus, integer
     coefficients and exponents, parenthesized groups (at most
     ``_MAX_NESTING`` deep), and quotients.  round-trips with ``render``.
-    Errors carry the byte offset.
+    A power that could pass ``_MAX_POWER_DEGREE`` or ``_MAX_POWER_BITS``
+    is refused at its ``^``.  Errors carry the byte offset.
     """
     toks = _tokenize(text, var)
     pos = [0]
@@ -602,8 +618,14 @@ def parse_scalar(text: str, var: str = "q"):
             neg = not neg
         v = atom()
         if peek()[0] == "^":
-            take()
+            op = take()
             e = expect("int")[1]
+            if _power_too_big(v, e):
+                raise ScalarParseError(
+                    f"power above the size limit (degree {_MAX_POWER_DEGREE}, "
+                    f"{_MAX_POWER_BITS} coefficient bits)",
+                    op[2],
+                )
             v = v**e
         return -v if neg else v
 

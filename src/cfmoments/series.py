@@ -22,7 +22,6 @@ __all__ = [
     "series_revert",
     "catalan_series",
     "riordan_matrix",
-    "riordan_mul",
     "riordan_inverse",
     "interleave_columns",
     "schroder_column",
@@ -219,14 +218,6 @@ def riordan_matrix(p: RiordanPair, n: int) -> Triangle:
         col = series_mul(col, f)
         cols.append(col)
     return Triangle([[cols[j].coeffs[i] for j in range(i + 1)] for i in range(n)])
-
-
-def riordan_mul(p1: RiordanPair, p2: RiordanPair) -> RiordanPair:
-    """Group product: (g1, f1) . (g2, f2) = (g1 * g2(f1), f2(f1))."""
-    n = min(p1.order, p2.order)
-    g1, f1 = p1.g.truncate(n), p1.f.truncate(n)
-    g2, f2 = p2.g.truncate(n), p2.f.truncate(n)
-    return RiordanPair(series_mul(g1, series_compose(g2, f1)), series_compose(f2, f1))
 
 
 def riordan_inverse(p: RiordanPair) -> RiordanPair:

@@ -23,7 +23,6 @@ __all__ = [
     "rescale_columns",
     "hankel_det",
     "hankel_transform",
-    "hadamard",
 ]
 
 
@@ -301,11 +300,3 @@ def hankel_transform(mu, count: int):
         raise ValueError(f"need {2 * (count - 1) + 1} moments, got {len(mu)}")
     return [hankel_det(mu, k) for k in range(count)]
 
-
-def hadamard(A: Triangle, B: Triangle) -> Triangle:
-    """Entrywise product of two triangles of the same size."""
-    if A.size != B.size:
-        raise ValueError("size mismatch")
-    return Triangle(
-        [[a * b for a, b in zip(ra, rb)] for ra, rb in zip(A.rows, B.rows)]
-    )

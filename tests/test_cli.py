@@ -119,6 +119,28 @@ def test_exit_two_usage(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "spec, offset",
+    [
+        ("lit:q^99999999", 5),
+        ("lit:((1+q)^100)^100", 15),
+        ("lit:((2^1000)^1000)^1000", 13),
+    ],
+)
+def test_power_above_size_limit_is_a_usage_error(spec, offset, capsys):
+    rc, out, err = _run(["moments", "--spec", spec, "--count", "2"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("usage-error: power above the size limit")
+    assert err.endswith(f" at byte {offset}\n")
+    assert err.count("\n") == 1
+
+
+def test_largest_golden_power_still_parses(capsys):
+    rc, out, err = _run(["moments", "--spec", "lit:q^22", "--count", "2"], capsys)
+    assert (rc, out, err) == (0, "1 q^22\n", "")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["gen", "--spec", "const:2", "--size", "4"],

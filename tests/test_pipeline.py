@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from cfmoments.cfrac import InsufficientCoefficients, JFractionCoeffs, SFractionCoeffs, s_to_j
+from cfmoments.cfrac import (
+    InsufficientCoefficients,
+    JFractionCoeffs,
+    SFractionCoeffs,
+    moments_from_jfraction,
+    s_to_j,
+)
 from cfmoments.pipeline import (
     CatalanLikenessError,
     _discrepancy_check,
@@ -16,7 +22,7 @@ from cfmoments.pipeline import (
     schroder_structure_checks,
     verify_example,
 )
-from cfmoments.ring import QPoly, eval_q, q
+from cfmoments.ring import QPoly, QRat, eval_q, q
 from cfmoments.series import RiordanPair, TruncatedSeries, catalan_series, riordan_matrix
 from cfmoments.triangle import Triangle, invert, mul, production_of
 
@@ -133,6 +139,22 @@ def test_compare_product_is_inverse_times_second():
     assert mul(r.N, r.C) == r.M
     assert production_of(r.N) == r.prodN
     assert production_of(invert(r.C)) == r.prodCinv
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_compare_over_rational_functions_routes_agree(n):
+    rng = random.Random(n)
+    terms = [
+        QRat.make(rng.randrange(1, 4) + q ** rng.randrange(1, 3), 1 + rng.randrange(2, 4) * q)
+        for _ in range(2 * n - 1)
+    ]
+    assert all(isinstance(t, QRat) for t in terms)
+    a = SFractionCoeffs([1] + terms)
+    r = compare(a, n)
+    assert len(r.diagnostics) == 5
+    assert all(ok for _, ok in r.diagnostics)
+    assert list(r.N.column(0)) == moments_from_jfraction(s_to_j(a), n)
+    assert mul(r.N, r.C) == r.M
 
 
 def test_compare_smallest_size():

@@ -1,5 +1,6 @@
 """Scalar ring: canonical forms, exact division, evaluation, rendering."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,16 +11,14 @@ from cfmoments.ring import (
     QPoly,
     QRat,
     ScalarParseError,
-    add,
+    _zq_gcd,
     eval_q,
     exact_div,
     field_div,
     is_scalar,
-    mul,
     parse_scalar,
     q,
     render,
-    sub,
 )
 
 
@@ -166,11 +165,11 @@ def test_parse_scalar_nesting_limit():
 
 def test_named_ops_reject_floats():
     with pytest.raises(TypeError):
-        add(1.5, 1)
+        exact_div(1.5, 1)
     with pytest.raises(TypeError):
-        mul(q, 0.5)
+        field_div(q, 0.5)
     with pytest.raises(TypeError):
-        sub(True, 1)
+        q * 0.5
     assert not is_scalar(1.5)
     assert not is_scalar(True)
     assert is_scalar(q)
@@ -197,12 +196,12 @@ def test_ring_axioms_random():
         x = _random_scalar(rng)
         y = _random_scalar(rng)
         z = _random_scalar(rng)
-        assert add(x, y) == add(y, x)
-        assert mul(x, y) == mul(y, x)
-        assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
-        assert add(x, 0) == x
-        assert mul(x, 1) == x
-        assert sub(x, x) == 0
+        assert x + y == y + x
+        assert x * y == y * x
+        assert x * (y + z) == x * y + x * z
+        assert x + 0 == x
+        assert x * 1 == x
+        assert x - x == 0
 
 
 def test_exact_div_inverts_mul_random():
@@ -212,7 +211,7 @@ def test_exact_div_inverts_mul_random():
         y = _random_scalar(rng)
         if y == 0:
             continue
-        prod = mul(x, y)
+        prod = x * y
         ring_pair = isinstance(prod, (int, QPoly)) and isinstance(y, (int, QPoly))
         if ring_pair and isinstance(x, (Fraction, QRat)):
             # demotion can land the product in the base ring, where the
@@ -231,8 +230,8 @@ def test_eval_is_homomorphism_random():
         x = QPoly.make([rng.randrange(-5, 6) for _ in range(rng.randrange(1, 6))])
         y = QPoly.make([rng.randrange(-5, 6) for _ in range(rng.randrange(1, 6))])
         v = rng.randrange(-3, 4)
-        assert eval_q(mul(x, y), v) == eval_q(x, v) * eval_q(y, v)
-        assert eval_q(add(x, y), v) == eval_q(x, v) + eval_q(y, v)
+        assert eval_q(x * y, v) == eval_q(x, v) * eval_q(y, v)
+        assert eval_q(x + y, v) == eval_q(x, v) + eval_q(y, v)
 
 
 def test_render_parse_roundtrip_random():
@@ -240,3 +239,85 @@ def test_render_parse_roundtrip_random():
     for _ in range(200):
         x = _random_scalar(rng)
         assert parse_scalar(render(x)) == x
+
+
+def _coeff_list(x):
+    cs = [x] if isinstance(x, int) else list(x.coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _euclid_gcd(x, y):
+    """gcd in Z[q] by Euclid over the rationals: an independent oracle."""
+    a = [Fraction(c) for c in _coeff_list(x)]
+    b = [Fraction(c) for c in _coeff_list(y)]
+    while b:
+        while len(a) >= len(b):
+            f, k = a[-1] / b[-1], len(a) - len(b)
+            for j, c in enumerate(b):
+                a[k + j] -= f * c
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    # a is the gcd up to a rational unit: scale it to a primitive
+    # integer polynomial with positive leading coefficient
+    den = math.lcm(*(c.denominator for c in a))
+    ints = [int(c * den) for c in a]
+    unit = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    content = math.gcd(*_coeff_list(x), *_coeff_list(y))
+    return QPoly.make([c // unit * content for c in ints])
+
+
+def _random_zq(rng):
+    """An int or polynomial of degree 0..5 with coefficients in -5..5."""
+    return QPoly.make([rng.randrange(-5, 6) for _ in range(rng.randrange(1, 7))])
+
+
+def test_gcd_matches_rational_euclid_random():
+    rng = random.Random(20261017)
+    for _ in range(3000):
+        f, g, h = _random_zq(rng), _random_zq(rng), _random_zq(rng)
+        x = 0 if rng.randrange(12) == 0 else f * h
+        y = g * h
+        if x == 0 and y == 0:
+            with pytest.raises(ZeroDivisionError):
+                _zq_gcd(x, y)
+            continue
+        expected = _euclid_gcd(x, y)
+        assert _zq_gcd(x, y) == expected
+        assert _zq_gcd(-y, x) == expected
+
+
+def test_gcd_edge_cases():
+    assert _zq_gcd(0, -6) == 6
+    assert _zq_gcd(-2 - 2 * q, 0) == 2 + 2 * q
+    assert _zq_gcd(4 + 6 * q, 10) == 2
+    assert _zq_gcd(-(1 + q) ** 2 * (2 - q), 3 * (1 + q) * (2 - q) ** 3) == (1 + q) * (q - 2)
+
+
+def test_qrat_make_is_reduced_random():
+    rng = random.Random(31)
+    for _ in range(1500):
+        h = _random_zq(rng)
+        n, d = _random_zq(rng) * h, _random_zq(rng) * h
+        if d == 0:
+            continue
+        r = QRat.make(n, d)
+        if isinstance(r, QRat):
+            num, den = r.num, r.den
+        elif isinstance(r, Fraction):
+            num, den = r.numerator, r.denominator
+        else:
+            num, den = r, 1
+        assert _coeff_list(den)[-1] > 0
+        assert _euclid_gcd(num, den) == 1
+        assert num * d == n * den
+
+
+def test_constructors_check_coefficient_types():
+    for bad in ([1, 0.5], [1, Fraction(1, 2)], [True, 1]):
+        with pytest.raises(TypeError):
+            QPoly(bad)
+        with pytest.raises(TypeError):
+            QPoly.make(bad)

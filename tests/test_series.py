@@ -12,7 +12,6 @@ from cfmoments.series import (
     interleave_columns,
     riordan_matrix,
     riordan_inverse,
-    riordan_mul,
     schroder_column,
     series_compose,
     series_from_rational,
@@ -20,7 +19,7 @@ from cfmoments.series import (
     series_reciprocal,
     series_revert,
 )
-from cfmoments.triangle import Triangle
+from cfmoments.triangle import Triangle, mul as tmul
 
 
 def test_from_rational_geometric():
@@ -145,30 +144,8 @@ def test_riordan_group_identity_random():
             [0, rng.choice([1, -1])] + [rng.randrange(-3, 4) for _ in range(n - 2)]
         )
         p = RiordanPair(g, f)
-        e = riordan_mul(p, riordan_inverse(p))
-        assert e.g.coeffs == (1,) + (0,) * (n - 1)
-        assert e.f.coeffs == (0, 1) + (0,) * (n - 2)
-
-
-def test_riordan_mul_matches_matrix_product():
-    rng = random.Random(13)
-    from cfmoments.triangle import mul as tmul
-
-    for _ in range(30):
-        n = 6
-        def rand_pair():
-            g = TruncatedSeries(
-                [rng.choice([1, -1])] + [rng.randrange(-2, 3) for _ in range(n - 1)]
-            )
-            f = TruncatedSeries(
-                [0, rng.choice([1, -1])] + [rng.randrange(-2, 3) for _ in range(n - 2)]
-            )
-            return RiordanPair(g, f)
-
-        p1, p2 = rand_pair(), rand_pair()
-        lhs = riordan_matrix(riordan_mul(p1, p2), n)
-        rhs = tmul(riordan_matrix(p1, n), riordan_matrix(p2, n))
-        assert lhs == rhs
+        product = tmul(riordan_matrix(p, n), riordan_matrix(riordan_inverse(p), n))
+        assert product == Triangle.identity(n)
 
 
 def test_interleave_identity():

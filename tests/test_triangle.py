@@ -12,7 +12,6 @@ from cfmoments.triangle import (
     Triangle,
     behead,
     generate,
-    hadamard,
     hankel_det,
     hankel_transform,
     invert,
@@ -223,10 +222,3 @@ def test_hankel_preconditions():
 def test_hankel_transform():
     assert hankel_transform([1, 1, 2, 5, 14], 3) == [1, 1, 1]
 
-
-def test_hadamard():
-    A = Triangle([[1], [2, 3]])
-    B = Triangle([[5], [7, q]])
-    assert hadamard(A, B) == Triangle([[5], [14, 3 * q]])
-    with pytest.raises(ValueError):
-        hadamard(A, Triangle([[1]]))
