@@ -2,132 +2,20 @@
 moment sequences, generalized-moment triangles, production matrices, and
 the machinery to verify the worked examples end to end."""
 
-from .ring import (
-    ExactDivisionError,
-    QPoly,
-    QRat,
-    ScalarParseError,
-    eval_q,
-    exact_div,
-    field_div,
-    is_scalar,
-    parse_scalar,
-    q,
-    render,
-)
-from .triangle import (
-    ProductionMatrix,
-    Triangle,
-    behead,
-    generate,
-    hankel_det,
-    hankel_transform,
-    invert,
-    production_of,
-    rescale_columns,
-)
+from . import cfrac, pipeline, ring, series, triangle
+from .cfrac import *  # noqa: F403
+from .pipeline import *  # noqa: F403
+from .ring import *  # noqa: F403
+from .series import *  # noqa: F403
+from .triangle import *  # noqa: F403
 from .triangle import mul as matrix_mul
-from .series import (
-    RiordanPair,
-    TruncatedSeries,
-    catalan_series,
-    interleave_columns,
-    riordan_inverse,
-    riordan_matrix,
-    schroder_column,
-    series_compose,
-    series_from_rational,
-    series_mul,
-    series_reciprocal,
-    series_revert,
-)
-from .cfrac import (
-    InsufficientCoefficients,
-    JFractionCoeffs,
-    QDBreakdownError,
-    SFractionCoeffs,
-    hankel_from_sfraction,
-    moments_from_jfraction,
-    moments_from_sfraction,
-    qd_sfraction_from_moments,
-    s_to_j,
-    two_power_chain_coeff,
-)
-from .pipeline import (
-    EXAMPLE_NAMES,
-    CatalanLikenessError,
-    CheckResult,
-    ComparisonResult,
-    VerifyReport,
-    build_M,
-    build_N_via_behead,
-    build_N_via_rescale,
-    compare,
-    op_coeff_triangle,
-    q_binomial,
-    qcase_factorization_check,
-    schroder_structure_checks,
-    verify_example,
-)
+
+del mul  # noqa: F821  (exported as matrix_mul only)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExactDivisionError",
-    "QPoly",
-    "QRat",
-    "ScalarParseError",
-    "eval_q",
-    "exact_div",
-    "field_div",
-    "is_scalar",
-    "parse_scalar",
-    "q",
-    "render",
-    "ProductionMatrix",
-    "Triangle",
-    "behead",
-    "generate",
-    "hankel_det",
-    "hankel_transform",
-    "invert",
-    "matrix_mul",
-    "production_of",
-    "rescale_columns",
-    "RiordanPair",
-    "TruncatedSeries",
-    "catalan_series",
-    "interleave_columns",
-    "riordan_inverse",
-    "riordan_matrix",
-    "schroder_column",
-    "series_compose",
-    "series_from_rational",
-    "series_mul",
-    "series_reciprocal",
-    "series_revert",
-    "InsufficientCoefficients",
-    "JFractionCoeffs",
-    "QDBreakdownError",
-    "SFractionCoeffs",
-    "hankel_from_sfraction",
-    "moments_from_jfraction",
-    "moments_from_sfraction",
-    "qd_sfraction_from_moments",
-    "s_to_j",
-    "two_power_chain_coeff",
-    "EXAMPLE_NAMES",
-    "CatalanLikenessError",
-    "CheckResult",
-    "ComparisonResult",
-    "VerifyReport",
-    "build_M",
-    "build_N_via_behead",
-    "build_N_via_rescale",
-    "compare",
-    "op_coeff_triangle",
-    "q_binomial",
-    "qcase_factorization_check",
-    "schroder_structure_checks",
-    "verify_example",
+    "matrix_mul" if module is triangle and name == "mul" else name
+    for module in (ring, triangle, series, cfrac, pipeline)
+    for name in module.__all__
 ]

@@ -29,8 +29,17 @@ from .cfrac import (
     moments_from_sfraction,
     qd_sfraction_from_moments,
 )
-from .pipeline import CatalanLikenessError, compare, verify_example
-from .ring import ExactDivisionError, QPoly, QRat, ScalarParseError, parse_scalar, q, render
+from .pipeline import EXAMPLE_NAMES, CatalanLikenessError, compare, verify_example
+from .ring import (
+    DigitLimitError,
+    ExactDivisionError,
+    QPoly,
+    QRat,
+    ScalarParseError,
+    parse_scalar,
+    q,
+    render,
+)
 from .series import RiordanPair, riordan_inverse, riordan_matrix, series_from_rational
 from .triangle import ProductionMatrix, Triangle, hankel_transform
 
@@ -423,8 +432,6 @@ def _cmd_riordan(args):
 def _cmd_verify(args):
     if args.q is not None and args.q_symbolic:
         raise _UsageError("--q and --q-symbolic are mutually exclusive")
-    if args.q is not None and args.example != "qcase":
-        raise _UsageError("--q applies only to the qcase example")
     try:
         rep = verify_example(args.example, args.size, q_value=args.q)
     except ValueError as e:
@@ -460,13 +467,6 @@ def _build_parser() -> _Parser:
         help="output format (default pretty)",
     )
     common.add_argument("--out", metavar="FILE", help="write output to FILE")
-    common.add_argument(
-        "--q-symbolic",
-        action="store_true",
-        dest="q_symbolic",
-        help="keep q unevaluated (the default everywhere; spelled out "
-        "for scripts that want to be explicit)",
-    )
     p = _Parser(
         prog="cfmoments",
         description="Exact matrices, moments, and Hankel data from "
@@ -557,14 +557,19 @@ def _build_parser() -> _Parser:
         "known reference disagreements show as documented-discrepancy "
         "and do not fail the run.",
     )
-    v.add_argument(
-        "--example", required=True, choices=("catalan", "qcase", "schroder")
-    )
+    v.add_argument("--example", required=True, choices=EXAMPLE_NAMES)
     v.add_argument("--size", type=int, default=6, help="build size (default 6)")
     v.add_argument(
         "--q", type=int, default=None,
         help="evaluate the qcase example at this integer instead of "
         "symbolically",
+    )
+    v.add_argument(
+        "--q-symbolic",
+        action="store_true",
+        dest="q_symbolic",
+        help="keep q unevaluated (the default; spelled out for scripts "
+        "that want to be explicit)",
     )
     return p
 
@@ -592,6 +597,7 @@ def run(argv) -> int:
         SequenceExhausted,
         ExactDivisionError,
         ZeroDivisionError,
+        DigitLimitError,
     ) as e:
         print(f"precondition-error: {e}", file=sys.stderr)
         return 3

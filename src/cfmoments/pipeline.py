@@ -314,6 +314,19 @@ class VerifyReport:
         return (p, f, d)
 
 
+def _run_checks(checks) -> list:
+    """Run ``(name, thunk)`` checks in order.  A thunk returns a bool, a
+    ``(bool, note)`` pair, or a finished CheckResult."""
+    results = []
+    for name, thunk in checks:
+        got = thunk()
+        if not isinstance(got, CheckResult):
+            ok, note = got if isinstance(got, tuple) else (got, "")
+            got = CheckResult(name, "pass" if ok else "fail", note=note)
+        results.append(got)
+    return results
+
+
 def qcase_factorization_check(product: Triangle, n=None) -> CheckResult:
     """Entrywise factorization of the product triangle for the geometric
     coefficient sequence: entry (i, k) divided by q to the power
@@ -359,121 +372,92 @@ def _schroder_secondary_pair(n: int) -> RiordanPair:
     return RiordanPair(TruncatedSeries(phi_over_x2), TruncatedSeries(phi_over_x))
 
 
+def _schroder_families(n: int):
+    """The two Riordan families whose rows alternate in the inverse of
+    the first matrix: even rows from (1, x) / (1 + 3x + 2x^2), odd rows
+    from (1 / (1 + x), x / (1 + 3x + 2x^2))."""
+    f = series_from_rational([0, 1], [1, 3, 2], n)
+    even = riordan_matrix(RiordanPair(series_from_rational([1], [1, 3, 2], n), f), n)
+    odd = riordan_matrix(RiordanPair(series_from_rational([1], [1, 1], n), f), n)
+    return even, odd
+
+
+def _flag_triangle(cumulative: Triangle, n: int) -> Triangle:
+    """Size-n triangle: a unit corner, then the cumulative-product rows
+    shifted one place down and right."""
+    return Triangle([[1]] + [[0] + list(cumulative.rows[i]) for i in range(n - 1)])
+
+
+def _parity_row_recurrences(C: Triangle):
+    """Internal entries obey C[i][j] = C[i-1][j-1] + w C[i-1][j], with
+    w = 1 on even rows and 2 on odd rows."""
+    for i in range(2, C.size):
+        w = 1 if i % 2 == 0 else 2
+        for jj in range(1, i):
+            if C.rows[i][jj] != C.entry(i - 1, jj - 1) + w * C.entry(i - 1, jj):
+                return False, f"fails at row {i} column {jj}"
+    return True, f"rows 2..{C.size - 1}"
+
+
+def _inverse_row_mixture(n_inv: Triangle, even: Triangle, odd: Triangle):
+    """Row 2h of the inverse is row h of the even family, row 2h + 1 is
+    row h + 1 of the odd family, each shifted right by h."""
+    for i, row in enumerate(n_inv.rows):
+        half, is_odd = divmod(i, 2)
+        family_row = odd.rows[half + 1] if is_odd else even.rows[half]
+        if list(row) != [0] * half + list(family_row):
+            return False, f"fails at row {i}"
+    return True, f"rows 0..{n_inv.size - 1}"
+
+
+def _schroder_structure(r: ComparisonResult, flag, even, odd, n_inv) -> list:
+    n = r.N.size
+    return [
+        ("parity-row-recurrences", lambda: _parity_row_recurrences(r.C)),
+        # production matrix of the product's inverse equals the beheaded
+        # inverse of the flagged cumulative-product triangle
+        (
+            "flag-triangle-production",
+            lambda: (
+                behead(invert(flag)) == r.prodCinv,
+                "beheaded inverse of the flagged triangle",
+            ),
+        ),
+        (
+            "interleaved-columns",
+            lambda: (
+                interleave_columns(r.M, riordan_matrix(_schroder_secondary_pair(n), n))
+                == r.N,
+                "columns alternate between the two families",
+            ),
+        ),
+        (
+            "series-columns",
+            lambda: (
+                all(list(r.N.column(k)) == schroder_column(k, n) for k in range(n)),
+                f"columns 0..{n - 1}",
+            ),
+        ),
+        ("inverse-row-mixture", lambda: _inverse_row_mixture(n_inv, even, odd)),
+        ("odd-family-is-second-matrix-inverse", lambda: odd == invert(r.M)),
+    ]
+
+
 def schroder_structure_checks(result: ComparisonResult) -> list:
     """Structural identities special to the alternating 1, 2 sequence."""
     n = result.N.size
-    checks = []
-
-    # internal entries of the product obey parity-switched recurrences
-    ok = True
-    note = ""
-    for i in range(2, n):
-        w = 1 if i % 2 == 0 else 2
-        for jj in range(1, i):
-            want = result.C.entry(i - 1, jj - 1) + w * result.C.entry(i - 1, jj)
-            if result.C.rows[i][jj] != want:
-                ok = False
-                note = f"fails at row {i} column {jj}"
-                break
-        if not ok:
-            break
-    checks.append(
-        CheckResult(
-            "parity-row-recurrences",
-            "pass" if ok else "fail",
-            note=note or f"rows 2..{n - 1}",
-        )
+    flag = _flag_triangle(invert(_unit_bidiagonal(result.a, n)), n)
+    even, odd = _schroder_families(n)
+    return _run_checks(
+        _schroder_structure(result, flag, even, odd, invert(result.N))
     )
-
-    # production matrix of the product's inverse equals the beheaded
-    # inverse of the flagged cumulative-product triangle
-    cumulative = invert(_unit_bidiagonal(result.a, n))
-    s_rows = [[1]]
-    for i in range(1, n):
-        s_rows.append([0] + list(cumulative.rows[i - 1]))
-    flag = Triangle(s_rows)
-    lhs = production_of(invert(result.C))
-    rhs = behead(invert(flag))
-    checks.append(
-        CheckResult(
-            "flag-triangle-production",
-            "pass" if lhs == rhs else "fail",
-            note="beheaded inverse of the flagged triangle",
-        )
-    )
-
-    # the first matrix interleaves the second matrix with the partner family
-    partner = riordan_matrix(_schroder_secondary_pair(n), n)
-    woven = interleave_columns(result.M, partner)
-    checks.append(
-        CheckResult(
-            "interleaved-columns",
-            "pass" if woven == result.N else "fail",
-            note="columns alternate between the two families",
-        )
-    )
-
-    # every column also matches the closed-form series expansion
-    ok = all(
-        list(result.N.column(k)) == schroder_column(k, n) for k in range(n)
-    )
-    checks.append(
-        CheckResult(
-            "series-columns",
-            "pass" if ok else "fail",
-            note=f"columns 0..{n - 1}",
-        )
-    )
-
-    # rows of the inverse alternate between two rational families
-    a_rows = riordan_matrix(
-        RiordanPair(
-            series_from_rational([1], [1, 3, 2], n),
-            series_from_rational([0, 1], [1, 3, 2], n),
-        ),
-        n,
-    )
-    b_rows = riordan_matrix(
-        RiordanPair(
-            series_from_rational([1], [1, 1], n),
-            series_from_rational([0, 1], [1, 3, 2], n),
-        ),
-        n,
-    )
-    n_inv = invert(result.N)
-    ok = True
-    note = ""
-    for i in range(n):
-        half, odd = divmod(i, 2)
-        if odd:
-            want = [0] * half + list(b_rows.rows[half + 1])
-        else:
-            want = [0] * half + list(a_rows.rows[half])
-        if list(n_inv.rows[i]) != want:
-            ok = False
-            note = f"fails at row {i}"
-            break
-    checks.append(
-        CheckResult(
-            "inverse-row-mixture", "pass" if ok else "fail", note=note or f"rows 0..{n - 1}"
-        )
-    )
-
-    # the odd-row family is exactly the inverse of the second matrix
-    checks.append(
-        CheckResult(
-            "odd-family-is-second-matrix-inverse",
-            "pass" if b_rows == invert(result.M) else "fail",
-        )
-    )
-    return checks
 
 
 # ---------------------------------------------------------------------------
 # frozen reference values for the worked examples
 #
 # Where a reference value disagrees with exact computation, the printed
-# value and the computed value are both kept; the verify registries
+# value and the computed value are both kept; the example checks
 # report those entries as documented-discrepancy with the supporting
 # evidence in the note.
 
@@ -689,7 +673,6 @@ _REF_S_ODD_FAMILY = (
 
 _REF_S_MOMENTS = (1, 1, 3, 11, 45, 197, 903)
 
-
 def _region_check(name, computed, expected_rows, note="") -> CheckResult:
     """Compare leading rows of a computed matrix against frozen rows;
     ``None`` marks entries reported separately."""
@@ -730,110 +713,124 @@ def _discrepancy_check(name, computed_value, printed_value, corrected_value, not
     )
 
 
+def _display(name, computed, expected_rows, note=""):
+    """Check that the leading rows of ``computed`` match ``expected_rows``."""
+    return name, lambda: _region_check(name, computed, expected_rows, note)
+
+
+def _documented(name, computed_value, printed_value, corrected_value, note):
+    """Check a documented discrepancy (see ``_discrepancy_check``)."""
+    return name, lambda: _discrepancy_check(
+        name, computed_value, printed_value, corrected_value, note
+    )
+
+
 def _diagnostic_checks(result: ComparisonResult) -> list:
+    return [(name, lambda ok=ok: ok) for name, ok in result.diagnostics]
+
+
+def _hankel_and_qd_checks(a, mu_long, n, hankel_name, closed_form, qd_name) -> list:
+    """The Hankel determinants by elimination, by the product formula and
+    in closed form agree, and the qd scheme takes the moments back to the
+    coefficients."""
+
+    def qd_round_trip():
+        back = qd_sfraction_from_moments(mu_long).terms
+        return list(back) == list(a.terms[: len(back)])
+
     return [
-        CheckResult(nm, "pass" if ok else "fail") for nm, ok in result.diagnostics
+        (
+            hankel_name,
+            lambda: hankel_transform(mu_long, n)
+            == hankel_from_sfraction(a, n)
+            == closed_form,
+        ),
+        (qd_name, qd_round_trip),
     ]
 
 
-def _verify_catalan(n: int) -> list:
+def _catalan_checks(n: int) -> list:
     a = SFractionCoeffs([1] * (2 * n))
     r = compare(a, n)
-    checks = _diagnostic_checks(r)
-
     c = catalan_series(n)
-    checks.append(
-        CheckResult(
-            "moments-are-catalan",
-            "pass" if tuple(r.mu) == c.coeffs[:n] else "fail",
-        )
-    )
-
     xc = TruncatedSeries((0,) + c.coeffs[:-1])
     xc2 = TruncatedSeries((0,) + tuple((c * c).coeffs[:-1]))
-    checks.append(
-        _region_check(
-            "first-matrix-is-catalan-pair",
-            r.N,
-            riordan_matrix(RiordanPair(c, xc), n).rows,
-            note="column k holds the k-fold convolution",
-        )
+    shifted_binomial = RiordanPair(
+        TruncatedSeries([1], n), series_from_rational([0, 1], [1, -1], n)
     )
-    checks.append(
-        _region_check(
-            "second-matrix-is-catalan-square-pair",
-            r.M,
-            riordan_matrix(RiordanPair(c, xc2), n).rows,
-            note="column k holds the 2k-fold shifted convolution",
-        )
-    )
-    shifted_binomial = riordan_matrix(
-        RiordanPair(TruncatedSeries([1], n), series_from_rational([0, 1], [1, -1], n)),
-        n,
-    )
-    checks.append(
-        _region_check(
-            "product-is-shifted-binomial",
-            r.C,
-            shifted_binomial.rows,
-        )
-    )
-
-    ok = all(
-        all(v == 1 for v in row) for row in r.prodN.rows
-    )
-    checks.append(CheckResult("first-production-all-ones", "pass" if ok else "fail"))
-
-    ok = True
-    for i, row in enumerate(r.prodM.rows):
-        want = [0] * (i + 2)
-        if i == 0:
-            want[0], want[1] = 1, 1
-        else:
-            want[i - 1], want[i], want[i + 1] = 1, 2, 1
-        if list(row) != want:
-            ok = False
-            break
-    checks.append(
-        CheckResult("second-production-tridiagonal-1-2-1", "pass" if ok else "fail")
-    )
-
-    mu_long = moments_from_sfraction(a, 2 * n - 1)
-    checks.append(
-        CheckResult(
+    return (
+        _diagnostic_checks(r)
+        + [
+            ("moments-are-catalan", lambda: tuple(r.mu) == c.coeffs[:n]),
+            _display(
+                "first-matrix-is-catalan-pair",
+                r.N,
+                riordan_matrix(RiordanPair(c, xc), n).rows,
+                "column k holds the k-fold convolution",
+            ),
+            _display(
+                "second-matrix-is-catalan-square-pair",
+                r.M,
+                riordan_matrix(RiordanPair(c, xc2), n).rows,
+                "column k holds the 2k-fold shifted convolution",
+            ),
+            _display(
+                "product-is-shifted-binomial",
+                r.C,
+                riordan_matrix(shifted_binomial, n).rows,
+            ),
+            (
+                "first-production-all-ones",
+                lambda: all(v == 1 for row in r.prodN.rows for v in row),
+            ),
+            (
+                "second-production-tridiagonal-1-2-1",
+                lambda: all(
+                    list(row) == ([0] * (i - 1) + [1, 2, 1] if i else [1, 1])
+                    for i, row in enumerate(r.prodM.rows)
+                ),
+            ),
+        ]
+        + _hankel_and_qd_checks(
+            a,
+            moments_from_sfraction(a, 2 * n - 1),
+            n,
             "hankel-all-ones",
-            "pass"
-            if hankel_transform(mu_long, n) == [1] * n
-            and hankel_from_sfraction(a, n) == [1] * n
-            else "fail",
-        )
-    )
-    back = qd_sfraction_from_moments(mu_long)
-    checks.append(
-        CheckResult(
+            [1] * n,
             "qd-recovers-constant-sequence",
-            "pass" if all(v == 1 for v in back.terms) else "fail",
         )
     )
-    return checks
 
 
 def _q_power_coeffs(count: int) -> SFractionCoeffs:
     return SFractionCoeffs([q**k if k else 1 for k in range(count)])
 
 
-def _verify_qcase_symbolic(n: int) -> list:
+def _qcase_symbolic_checks(n: int) -> list:
     nn = max(n, 7)
     a = _q_power_coeffs(2 * nn)
     r = compare(a, nn)
-    checks = _diagnostic_checks(r)
+    prod_c = production_of(r.C)
 
-    checks.append(_region_check("first-matrix-reference-display", r.N, _REF_Q_N))
-    checks.append(
-        _region_check("product-reference-display", r.C, _REF_Q_C)
-    )
-    checks.append(
-        _discrepancy_check(
+    def first_production_power_pattern():
+        ok = all(
+            v == (1 if jj == i + 1 else q ** ((i * (i + 1) - jj * (jj - 1)) // 2))
+            for i, row in enumerate(r.prodN.rows)
+            for jj, v in enumerate(row)
+        )
+        return ok, f"rows 0..{len(r.prodN.rows) - 1}"
+
+    def two_parameter_power_pattern():
+        j = s_to_j(a)
+        return j.b[0] == 1 and all(
+            j.b[i] == q ** (2 * i - 1) + q ** (2 * i) and j.lam[i - 1] == q ** (4 * i - 3)
+            for i in range(1, nn - 1)
+        )
+
+    return _diagnostic_checks(r) + [
+        _display("first-matrix-reference-display", r.N, _REF_Q_N),
+        _display("product-reference-display", r.C, _REF_Q_C),
+        _documented(
             "product-entry-5-3",
             r.C.rows[5][3],
             _REF_Q_C_5_3_PRINTED,
@@ -841,48 +838,13 @@ def _verify_qcase_symbolic(n: int) -> list:
             "the reference display drops the coefficient 2 on q^11; the "
             "factored display and the numeric display at q=2 (17920) both "
             "require the computed value",
-        )
-    )
-
-    checks.append(
-        _region_check("first-production-reference-display", r.prodN, _REF_Q_PRODN)
-    )
-    ok = True
-    for i, row in enumerate(r.prodN.rows):
-        for jj, v in enumerate(row):
-            want = 1 if jj == i + 1 else q ** ((i * (i + 1) - jj * (jj - 1)) // 2)
-            if v != want:
-                ok = False
-                break
-        if not ok:
-            break
-    checks.append(
-        CheckResult(
-            "first-production-power-pattern",
-            "pass" if ok else "fail",
-            note=f"rows 0..{len(r.prodN.rows) - 1}",
-        )
-    )
-
-    checks.append(
-        _region_check("second-production-reference-display", r.prodM, _REF_Q_PRODM)
-    )
-
-    j = s_to_j(a)
-    ok = j.b[0] == 1
-    for i in range(1, nn - 1):
-        ok = ok and j.b[i] == q ** (2 * i - 1) + q ** (2 * i)
-        ok = ok and j.lam[i - 1] == q ** (4 * i - 3)
-    checks.append(
-        CheckResult("two-parameter-power-pattern", "pass" if ok else "fail")
-    )
-
-    prod_c = production_of(r.C)
-    checks.append(
-        _region_check("product-production-reference-display", prod_c, _REF_Q_PRODC)
-    )
-    checks.append(
-        _discrepancy_check(
+        ),
+        _display("first-production-reference-display", r.prodN, _REF_Q_PRODN),
+        ("first-production-power-pattern", first_production_power_pattern),
+        _display("second-production-reference-display", r.prodM, _REF_Q_PRODM),
+        ("two-parameter-power-pattern", two_parameter_power_pattern),
+        _display("product-production-reference-display", prod_c, _REF_Q_PRODC),
+        _documented(
             "product-production-entry-2-1",
             prod_c.rows[2][1],
             _REF_Q_PRODC_2_1_PRINTED,
@@ -890,184 +852,147 @@ def _verify_qcase_symbolic(n: int) -> list:
             "the reference display scales the entry by one extra power of q; "
             "the numeric display at q=2 (16) and the power pattern of the "
             "following rows both require the computed value",
-        )
-    )
-
-    checks.append(qcase_factorization_check(r.C))
-    return checks
+        ),
+        ("entrywise-factorization", lambda: qcase_factorization_check(r.C)),
+    ]
 
 
-def _verify_qcase_at(v: int, n: int) -> list:
+def _qcase_numeric_checks(v: int, n: int) -> list:
     nn = max(n, 8) if v == 2 else n
     a = SFractionCoeffs([v**k for k in range(2 * nn)])
     r = compare(a, nn)
-    checks = _diagnostic_checks(r)
 
-    sym = compare(_q_power_coeffs(12), 6)
-    ok = sym.C.map_entries(lambda s: eval_q(s, v)) == Triangle(
-        [row[: i + 1] for i, row in enumerate(r.C.rows[:6])]
-    )
-    checks.append(
-        CheckResult(
-            "specializes-symbolic-product",
-            "pass" if ok else "fail",
-            note=f"evaluated at q={v}",
-        )
-    )
+    def specializes_symbolic_product():
+        sym = compare(_q_power_coeffs(12), 6)
+        ok = sym.C.map_entries(lambda s: eval_q(s, v)) == Triangle(r.C.rows[:6])
+        return ok, f"evaluated at q={v}"
 
-    if v >= 1:
+    def qd_recovers_geometric_sequence():
         back = qd_sfraction_from_moments(moments_from_sfraction(a, nn))
-        ok = list(back.terms) == [v**k for k in range(nn - 1)]
-        checks.append(
-            CheckResult("qd-recovers-geometric-sequence", "pass" if ok else "fail")
-        )
+        return list(back.terms) == [v**k for k in range(nn - 1)]
 
-    if v != 2:
-        return checks
+    checks = _diagnostic_checks(r) + [
+        ("specializes-symbolic-product", specializes_symbolic_product)
+    ]
+    if v >= 1:
+        checks += [("qd-recovers-geometric-sequence", qd_recovers_geometric_sequence)]
+    if v == 2:
+        checks += _qcase_at_two_checks(r)
+    return checks
 
-    checks.append(_region_check("second-matrix-reference-display", r.M, _REF_Q2_M))
-    checks.append(_region_check("first-matrix-reference-display", r.N, _REF_Q2_N))
-    checks.append(
-        _discrepancy_check(
+
+def _qcase_at_two_checks(r: ComparisonResult) -> list:
+    """The numeric displays at q = 2 and the two-power chain 2^(m(m+3)/2)
+    they lead to."""
+    reduced = Triangle([row[1:] for row in r.C.rows[1:]])
+    chain = [2 ** (m * (m + 3) // 2) for m in range(10)]
+    chain_a = [two_power_chain_coeff(m) for m in range(9)]
+    dets = hankel_transform(chain, 5)
+    return [
+        _display("second-matrix-reference-display", r.M, _REF_Q2_M),
+        _display("first-matrix-reference-display", r.N, _REF_Q2_N),
+        _documented(
             "first-matrix-entry-4-3",
             r.N.rows[4][3],
             _REF_Q2_N_4_3_PRINTED,
             _REF_Q2_N_4_3_COMPUTED,
             "the entry 325 printed below it in the same display is generated "
             "from the computed value, and the symbolic display evaluates to it",
-        )
-    )
-    checks.append(_region_check("product-reference-display", r.C, _REF_Q2_C))
-
-    reduced = Triangle([row[1:] for row in r.C.rows[1:]])
-    checks.append(
-        _region_check("reduced-product-reference-display", reduced, _REF_Q2_REDUCED)
-    )
-    checks.append(
-        _region_check(
+        ),
+        _display("product-reference-display", r.C, _REF_Q2_C),
+        _display("reduced-product-reference-display", reduced, _REF_Q2_REDUCED),
+        _display(
             "reduced-product-production-reference-display",
             production_of(reduced),
             _REF_Q2_REDUCED_PROD,
-        )
-    )
-
-    chain = [2 ** (m * (m + 3) // 2) for m in range(10)]
-    ok = moments_from_jfraction(_REF_Q2_CHAIN_J, 10) == chain
-    checks.append(
-        CheckResult("chain-two-parameter-form", "pass" if ok else "fail")
-    )
-
-    back = qd_sfraction_from_moments(chain)
-    ok = list(back.terms) == [two_power_chain_coeff(m) for m in range(9)]
-    checks.append(CheckResult("chain-closed-form", "pass" if ok else "fail"))
-
-    chain_a = SFractionCoeffs([two_power_chain_coeff(m) for m in range(8)])
-    dets = hankel_transform(chain, 5)
-    prods = hankel_from_sfraction(chain_a, 5)
-    ok = dets == prods == list(_REF_Q2_CHAIN_HANKEL)
-    checks.append(
-        CheckResult("chain-hankel-determinants", "pass" if ok else "fail")
-    )
-
-    # reference pairing starts one coefficient later than the determinants do
-    ref_pairing_h1 = two_power_chain_coeff(1) * two_power_chain_coeff(2)
-    checks.append(
-        CheckResult(
+        ),
+        (
+            "chain-two-parameter-form",
+            lambda: moments_from_jfraction(_REF_Q2_CHAIN_J, 10) == chain,
+        ),
+        (
+            "chain-closed-form",
+            lambda: list(qd_sfraction_from_moments(chain).terms) == chain_a,
+        ),
+        (
+            "chain-hankel-determinants",
+            lambda: dets
+            == hankel_from_sfraction(SFractionCoeffs(chain_a), 5)
+            == list(_REF_Q2_CHAIN_HANKEL),
+        ),
+        # the reference pairing starts one coefficient later than the
+        # determinants do
+        _documented(
             "chain-hankel-reference-indexing",
-            "documented-discrepancy",
-            render(ref_pairing_h1),
-            render(dets[1]),
+            dets[1],
+            chain_a[1] * chain_a[2],
+            _REF_Q2_CHAIN_HANKEL[1],
             "the reference product formula pairs coefficients one index too "
             "late; pairing from the first coefficient reproduces every "
             "determinant",
-        )
-    )
-    return checks
+        ),
+    ]
 
 
-def _verify_schroder(n: int) -> list:
+def _schroder_checks(n: int) -> list:
     # the production displays have six rows, which takes a size-7 build
     n = max(n, 7)
     a = SFractionCoeffs([1 if k % 2 == 0 else 2 for k in range(2 * n)])
     r = compare(a, n)
-    checks = _diagnostic_checks(r)
-
     mu_long = moments_from_sfraction(a, 2 * n - 1)
-    ok = mu_long[:7] == list(_REF_S_MOMENTS) and list(r.mu) == schroder_column(0, n)
-    checks.append(CheckResult("moments-reference-values", "pass" if ok else "fail"))
-
     cumulative = invert(_unit_bidiagonal(a, n + 1))
-    checks.append(
-        _region_check(
-            "cumulative-product-reference-display", cumulative, _REF_S_CUMULATIVE
+    flag = _flag_triangle(cumulative, n)
+    even, odd = _schroder_families(n)
+    n_inv = invert(r.N)
+    return (
+        _diagnostic_checks(r)
+        + [
+            (
+                "moments-reference-values",
+                lambda: mu_long[:7] == list(_REF_S_MOMENTS)
+                and list(r.mu) == schroder_column(0, n),
+            ),
+            _display(
+                "cumulative-product-reference-display", cumulative, _REF_S_CUMULATIVE
+            ),
+            _display("first-matrix-reference-display", r.N, _REF_S_N),
+            _display("second-matrix-reference-display", r.M, _REF_S_M),
+            _display("first-matrix-inverse-reference-display", n_inv, _REF_S_NINV),
+            _display("product-reference-display", r.C, _REF_S_C),
+            _display("first-production-reference-display", r.prodN, _REF_S_PRODN),
+            _display("second-production-reference-display", r.prodM, _REF_S_PRODM),
+            _display(
+                "product-inverse-production-reference-display",
+                r.prodCinv,
+                _REF_S_PRODCINV,
+            ),
+            _display("flag-triangle-reference-display", flag, _REF_S_FLAG),
+            _display("even-family-reference-display", even, _REF_S_EVEN_FAMILY),
+            _display("odd-family-reference-display", odd, _REF_S_ODD_FAMILY),
+        ]
+        + _schroder_structure(r, flag, even, odd, n_inv)
+        + _hankel_and_qd_checks(
+            a,
+            mu_long,
+            n,
+            "hankel-powers-of-two",
+            [2 ** (k * (k + 1) // 2) for k in range(n)],
+            "qd-recovers-alternating-sequence",
         )
     )
-    checks.append(_region_check("first-matrix-reference-display", r.N, _REF_S_N))
-    checks.append(_region_check("second-matrix-reference-display", r.M, _REF_S_M))
-    checks.append(
-        _region_check("first-matrix-inverse-reference-display", invert(r.N), _REF_S_NINV)
-    )
-    checks.append(_region_check("product-reference-display", r.C, _REF_S_C))
-    checks.append(
-        _region_check("first-production-reference-display", r.prodN, _REF_S_PRODN)
-    )
-    checks.append(
-        _region_check("second-production-reference-display", r.prodM, _REF_S_PRODM)
-    )
-    checks.append(
-        _region_check(
-            "product-inverse-production-reference-display",
-            r.prodCinv,
-            _REF_S_PRODCINV,
-        )
-    )
-
-    s_rows = [[1]]
-    for i in range(1, 6):
-        s_rows.append([0] + list(cumulative.rows[i - 1]))
-    checks.append(
-        _region_check("flag-triangle-reference-display", Triangle(s_rows), _REF_S_FLAG)
-    )
-
-    even_family = riordan_matrix(
-        RiordanPair(
-            series_from_rational([1], [1, 3, 2], n),
-            series_from_rational([0, 1], [1, 3, 2], n),
-        ),
-        n,
-    )
-    odd_family = riordan_matrix(
-        RiordanPair(
-            series_from_rational([1], [1, 1], n),
-            series_from_rational([0, 1], [1, 3, 2], n),
-        ),
-        n,
-    )
-    checks.append(
-        _region_check("even-family-reference-display", even_family, _REF_S_EVEN_FAMILY)
-    )
-    checks.append(
-        _region_check("odd-family-reference-display", odd_family, _REF_S_ODD_FAMILY)
-    )
-
-    checks.extend(schroder_structure_checks(r))
-
-    dets = hankel_transform(mu_long, n)
-    prods = hankel_from_sfraction(a, n)
-    ok = dets == prods == [2 ** (k * (k + 1) // 2) for k in range(n)]
-    checks.append(
-        CheckResult("hankel-powers-of-two", "pass" if ok else "fail")
-    )
-
-    back = qd_sfraction_from_moments(mu_long)
-    ok = all(v == (1 if k % 2 == 0 else 2) for k, v in enumerate(back.terms))
-    checks.append(
-        CheckResult("qd-recovers-alternating-sequence", "pass" if ok else "fail")
-    )
-    return checks
 
 
-EXAMPLE_NAMES = ("catalan", "qcase", "schroder")
+# Each builder takes the size and the q value and returns (name, thunk)
+# checks; the numeric q case is the geometric example evaluated at q.
+_EXAMPLES = {
+    "catalan": lambda n, v: _catalan_checks(n),
+    "qcase": lambda n, v: (
+        _qcase_symbolic_checks(n) if v is None else _qcase_numeric_checks(v, n)
+    ),
+    "schroder": lambda n, v: _schroder_checks(n),
+}
+
+EXAMPLE_NAMES = tuple(_EXAMPLES)
 
 
 def verify_example(name: str, size: int, q_value=None) -> VerifyReport:
@@ -1086,12 +1011,5 @@ def verify_example(name: str, size: int, q_value=None) -> VerifyReport:
         raise ValueError("only the geometric example takes a q value")
     if q_value is not None and (not isinstance(q_value, int) or isinstance(q_value, bool)):
         raise TypeError("q value must be a plain int")
-    if name == "catalan":
-        checks = _verify_catalan(size)
-    elif name == "schroder":
-        checks = _verify_schroder(size)
-    elif q_value is None:
-        checks = _verify_qcase_symbolic(size)
-    else:
-        checks = _verify_qcase_at(q_value, size)
-    return VerifyReport(name, size, q_value if name == "qcase" else None, checks)
+    checks = _run_checks(_EXAMPLES[name](size, q_value))
+    return VerifyReport(name, size, q_value, checks)

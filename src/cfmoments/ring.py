@@ -11,11 +11,13 @@ and renderings canonical.  No floating point is accepted anywhere.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 __all__ = [
     "ExactDivisionError",
     "ScalarParseError",
+    "DigitLimitError",
     "QPoly",
     "QRat",
     "q",
@@ -39,6 +41,11 @@ class ScalarParseError(ValueError):
         super().__init__(f"offset {offset}: {message}")
         self.reason = message
         self.offset = offset
+
+
+class DigitLimitError(ValueError):
+    """An integer has more decimal digits than the interpreter converts
+    to text (``sys.get_int_max_str_digits``)."""
 
 
 def _strip(coeffs):
@@ -504,11 +511,17 @@ def render(x, var: str = "q") -> str:
     polynomials like '1 + 2*q + q^2', quotients with parentheses around
     multi-term sides."""
     _require_scalar(x)
-    if isinstance(x, (int, Fraction)):
-        return str(x)
-    if isinstance(x, QPoly):
-        return _poly_text(x.coeffs, var)
-    return f"{_side_text(x.num, var)}/{_side_text(x.den, var, is_den=True)}"
+    try:
+        if isinstance(x, (int, Fraction)):
+            return str(x)
+        if isinstance(x, QPoly):
+            return _poly_text(x.coeffs, var)
+        return f"{_side_text(x.num, var)}/{_side_text(x.den, var, is_den=True)}"
+    except ValueError:  # only int-to-text conversion raises it here
+        raise DigitLimitError(
+            "an integer in the result has more than "
+            f"{sys.get_int_max_str_digits()} digits, the limit for printing it"
+        ) from None
 
 
 def _tokenize(text, var):
@@ -519,11 +532,19 @@ def _tokenize(text, var):
         if ch in " \t":
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
-            toks.append(("int", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # more digits than the interpreter converts
+                raise ScalarParseError(
+                    "integer literal longer than "
+                    f"{sys.get_int_max_str_digits()} digits",
+                    i,
+                ) from None
+            toks.append(("int", value, i))
             i = j
             continue
         if ch == var:

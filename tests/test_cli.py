@@ -109,6 +109,9 @@ def test_exit_zero_on_help(capsys):
         ["verify", "--example", "catalan", "--size", "5"],
         ["verify", "--example", "pascal"],
         ["qd", "--moments", "1," + "(" * 3000 + "1" + ")" * 3000],
+        ["moments", "--spec", "lit:" + "7" * 5000, "--count", "2"],
+        ["moments", "--spec", "lit:1,\N{SUPERSCRIPT TWO}", "--count", "3"],
+        ["gen", "--spec", "const:1", "--size", "3", "--q-symbolic"],
     ],
 )
 def test_exit_two_usage(argv, capsys):
@@ -135,6 +138,39 @@ def test_power_above_size_limit_is_a_usage_error(spec, offset, capsys):
     assert err.count("\n") == 1
 
 
+def test_digit_limit_is_named(capsys):
+    rc, out, err = _run(["moments", "--spec", "lit:1," + "7" * 5000, "--count", "2"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "usage-error: integer literal longer than 4300 digits at byte 6\n"
+    rc, out, err = _run(["moments", "--spec", "lit:2^20000", "--count", "2"], capsys)
+    assert (rc, out) == (3, "")
+    assert err.startswith("precondition-error: ") and " 4300 digits" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--spec", "const:1", "--size", "3"],
+        ["moments", "--spec", "const:1", "--count", "3"],
+        ["hankel", "--spec", "const:1", "--count", "3"],
+        ["qd", "--moments", "1,1,2"],
+        ["riordan", "--g", "1", "--f", "x", "--size", "3"],
+    ],
+)
+def test_q_symbolic_belongs_to_verify(argv, capsys):
+    assert _run(argv, capsys)[0] == 0
+    rc, out, err = _run(argv + ["--q-symbolic"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "usage-error: unrecognized arguments: --q-symbolic\n"
+
+
+def test_verify_accepts_q_symbolic(capsys):
+    plain = _run(["verify", "--example", "qcase"], capsys)
+    assert plain[0] == 0
+    assert _run(["verify", "--example", "qcase", "--q-symbolic"], capsys) == plain
+
+
 def test_largest_golden_power_still_parses(capsys):
     rc, out, err = _run(["moments", "--spec", "lit:q^22", "--count", "2"], capsys)
     assert (rc, out, err) == (0, "1 q^22\n", "")
@@ -150,6 +186,7 @@ def test_largest_golden_power_still_parses(capsys):
         ["qd", "--moments", "1,1,1,2"],
         ["riordan", "--g", "x", "--f", "x", "--size", "4"],
         ["riordan", "--g", "1", "--f", "x^2", "--size", "4"],
+        ["moments", "--spec", "lit:2^20000", "--count", "2"],
     ],
 )
 def test_exit_three_precondition(argv, capsys):

@@ -299,6 +299,22 @@ def test_verify_rejects_bad_arguments():
         verify_example("qcase", 6, q_value=True)
 
 
+def test_verify_builds_each_construction_once(monkeypatch):
+    import cfmoments.pipeline as pipeline
+
+    calls = {}
+    for name in ("invert", "riordan_matrix", "production_of"):
+        def counted(*args, _name=name, _orig=getattr(pipeline, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _orig(*args)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    assert verify_example("schroder", 6).passed
+    assert calls["invert"] <= 8
+    assert calls["riordan_matrix"] == 3
+    assert calls["production_of"] == 3
+
+
 def test_discrepancy_check_fails_when_computation_drifts():
     good = _discrepancy_check("x", 15, 51, 15, "note")
     assert good.status == "documented-discrepancy"

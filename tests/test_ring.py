@@ -2,11 +2,13 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from cfmoments.ring import (
+    DigitLimitError,
     ExactDivisionError,
     QPoly,
     QRat,
@@ -161,6 +163,24 @@ def test_parse_scalar_nesting_limit():
     with pytest.raises(ScalarParseError) as e:
         parse_scalar("2*" + "(" * 3000 + "1" + ")" * 3000)
     assert e.value.offset == 102
+
+
+def test_digit_limit_for_literals_and_renderings():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter has no int-to-text limit")
+    longest = "9" * limit
+    assert parse_scalar("q + " + longest) == q + int(longest)
+    assert render(int(longest)) == longest
+    with pytest.raises(ScalarParseError) as e:
+        parse_scalar("q + " + longest + "9")
+    assert e.value.offset == 4
+    with pytest.raises(ScalarParseError) as e:
+        parse_scalar("1 + \N{SUPERSCRIPT TWO}")
+    assert e.value.offset == 4
+    for value in (10**limit, Fraction(1, 10**limit), q * 10**limit, QRat.make(q, q + 10**limit)):
+        with pytest.raises(DigitLimitError):
+            render(value)
 
 
 def test_named_ops_reject_floats():
