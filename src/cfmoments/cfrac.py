@@ -60,12 +60,6 @@ class SFractionCoeffs:
         _check_terms(ts, "fraction")
         self.terms = ts
 
-    def term(self, k: int):
-        """1-indexed accessor: term(1) is a1."""
-        if k < 1 or k > len(self.terms):
-            raise IndexError(f"no coefficient a{k}")
-        return self.terms[k - 1]
-
     def __len__(self):
         return len(self.terms)
 

@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from .cfrac import (
     InsufficientCoefficients,
@@ -70,15 +69,15 @@ class SequenceExhausted(ValueError):
 class SequenceSpec:
     """A rule producing a_1, a_2, ...
 
-    Kinds: ``lit`` (finite list), ``const`` (one value repeated),
-    ``cycle`` (optional prefix, then a repeating block), ``qpow``
+    Kinds: ``lit`` (finite list), ``cycle`` (optional prefix, then a
+    repeating block; ``const:v`` is the one-value cycle), ``qpow``
     (a_n = q^(n-1)).
     """
 
     __slots__ = ("kind", "prefix", "values")
 
     def __init__(self, kind, values=(), prefix=()):
-        if kind not in ("lit", "const", "cycle", "qpow"):
+        if kind not in ("lit", "cycle", "qpow"):
             raise ValueError(f"unknown spec kind {kind!r}")
         self.kind = kind
         self.prefix = tuple(prefix)
@@ -90,8 +89,6 @@ class SequenceSpec:
             raise ValueError("term index is 1-based")
         if self.kind == "qpow":
             return q ** (n - 1)
-        if self.kind == "const":
-            return self.values[0]
         if self.kind == "lit":
             if n > len(self.values):
                 raise SequenceExhausted(
@@ -141,7 +138,7 @@ def parse_spec(text: str) -> SequenceSpec:
         vals = _parse_value_list(rest, base, "value")
         if len(vals) != 1:
             raise SpecParseError("const takes exactly one value", base)
-        return SequenceSpec("const", vals)
+        return SequenceSpec("cycle", vals)
     if head == "cycle":
         return SequenceSpec("cycle", _parse_value_list(rest, base, "cycle"))
     if head == "prefix":
@@ -197,11 +194,9 @@ def _matrix_pretty(rows) -> str:
     )
 
 
-def _matrix_csv(rows) -> str:
+def _csv(rows) -> str:
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        w.writerow([render(v) for v in row])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue().rstrip("\n")
 
 
@@ -209,7 +204,7 @@ def _format_matrix(m, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(_matrix_json_obj(m), indent=2)
     if fmt == "csv":
-        return _matrix_csv(m.rows)
+        return _csv([[render(v) for v in row] for row in m.rows])
     return _matrix_pretty(m.rows)
 
 
@@ -224,10 +219,7 @@ def _format_values(values, fmt: str) -> str:
             indent=2,
         )
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow([render(v) for v in values])
-        return buf.getvalue().rstrip("\n")
+        return _csv([[render(v) for v in values]])
     return " ".join(render(v) for v in values)
 
 
@@ -259,11 +251,9 @@ def _format_report(rep, fmt: str) -> str:
             indent=2,
         )
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        for c in rep.checks:
-            w.writerow([c.name, c.status, c.expected, c.actual, c.note])
-        return buf.getvalue().rstrip("\n")
+        return _csv(
+            [[c.name, c.status, c.expected, c.actual, c.note] for c in rep.checks]
+        )
     lines = []
     for c in rep.checks:
         if c.status == "pass":
@@ -302,26 +292,14 @@ class _PreconditionError(ValueError):
 _WHAT_ORDER = ("N", "M", "C", "prodN", "prodM", "prodCinv")
 
 
-def _spec_terms(args, count: int):
-    spec = parse_spec(args.spec)
-    return spec.terms(count)
-
-
 def _cmd_gen(args):
     if args.size < 2:
         raise _UsageError("--size must be at least 2")
-    terms = _spec_terms(args, 2 * args.size)
+    terms = parse_spec(args.spec).terms(2 * args.size)
     if terms[0] != 1:
         raise _PreconditionError("first coefficient must be 1")
     r = compare(SFractionCoeffs(terms), args.size)
-    parts = {
-        "N": r.N,
-        "M": r.M,
-        "C": r.C,
-        "prodN": r.prodN,
-        "prodM": r.prodM,
-        "prodCinv": r.prodCinv,
-    }
+    parts = {name: getattr(r, name) for name in _WHAT_ORDER}
     if args.what != "all":
         return _format_matrix(parts[args.what], args.format), 0, None
     if args.format == "csv":
@@ -342,7 +320,7 @@ def _cmd_gen(args):
 def _cmd_moments(args):
     if args.count < 1:
         raise _UsageError("--count must be positive")
-    terms = _spec_terms(args, max(args.count - 1, 0))
+    terms = parse_spec(args.spec).terms(max(args.count - 1, 0))
     mu = moments_from_sfraction(SFractionCoeffs(terms), args.count)
     return _format_values(mu, args.format), 0, None
 
@@ -350,7 +328,7 @@ def _cmd_moments(args):
 def _cmd_hankel(args):
     if args.count < 1:
         raise _UsageError("--count must be positive")
-    terms = _spec_terms(args, 2 * (args.count - 1))
+    terms = parse_spec(args.spec).terms(2 * (args.count - 1))
     s = SFractionCoeffs(terms)
     results = {}
     if args.method in ("det", "both"):
@@ -373,11 +351,7 @@ def _cmd_hankel(args):
             indent=2,
         )
     elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow([render(v) for v in results["det"]])
-        w.writerow([render(v) for v in results["product"]])
-        text = buf.getvalue().rstrip("\n")
+        text = _csv([[render(v) for v in results[k]] for k in ("det", "product")])
     else:
         text = "\n".join(
             [
@@ -413,9 +387,9 @@ def _cmd_riordan(args):
     if args.size < 1:
         raise _UsageError("--size must be positive")
     order = max(args.size, 2)
+    gn, gd = _rational_coeffs(args.g)
+    fn, fd = _rational_coeffs(args.f)
     try:
-        gn, gd = _rational_coeffs(args.g)
-        fn, fd = _rational_coeffs(args.f)
         pair = RiordanPair(
             series_from_rational(gn, gd, order), series_from_rational(fn, fd, order)
         )
@@ -423,8 +397,6 @@ def _cmd_riordan(args):
             pair = riordan_inverse(pair)
         m = riordan_matrix(pair, args.size)
     except (ValueError, ZeroDivisionError) as e:
-        if isinstance(e, (ScalarParseError, _UsageError)):
-            raise
         raise _PreconditionError(str(e)) from None
     return _format_matrix(m, args.format), 0, None
 

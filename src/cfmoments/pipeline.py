@@ -115,7 +115,7 @@ def build_N_via_rescale(a: SFractionCoeffs, n: int) -> Triangle:
     divisors = [1]
     for k in range(1, n):
         divisors.append(divisors[-1] * a.terms[k - 1])
-    return rescale_columns(scaled, divisors, divide=True)
+    return rescale_columns(scaled, divisors)
 
 
 def op_coeff_triangle(j: JFractionCoeffs, n: int) -> Triangle:
@@ -214,13 +214,10 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
     """Full comparison at size n.
 
     Requires a_1 = 1, at least 2n coefficients, and nonvanishing leading
-    Hankel determinants h_0 .. h_{n-1} (raises CatalanLikenessError
-    otherwise).  By the product formula h_k = prod_{j<k} (a_{2j+1}
-    a_{2j+2})^(k-j), and every scalar ring is an integral domain, so the
-    first zero a_i among a_1 .. a_{2n-2} fails the check at order
-    ceil(i / 2).  The last determinant is then computed both ways, by one
-    fraction-free elimination of the moments and by the product formula;
-    disagreement signals a bug and raises.
+    Hankel determinants h_0 .. h_{n-1}, taken from the product formula
+    (raises CatalanLikenessError at the first zero).  The last
+    determinant is also computed by one fraction-free elimination of the
+    moments; disagreement signals a bug and raises.
     """
     if n < 2:
         raise ValueError("size must be at least 2")
@@ -230,11 +227,11 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
         )
     if a.terms[0] != 1:
         raise ValueError("first coefficient must be 1")
-    for i, v in enumerate(a.terms[: 2 * n - 2], start=1):
-        if v == 0:
-            raise CatalanLikenessError((i + 1) // 2)
+    h = hankel_from_sfraction(a, n)
+    if 0 in h:
+        raise CatalanLikenessError(h.index(0))
     mu_long = moments_from_sfraction(a, 2 * n - 1)
-    if hankel_det(mu_long, n - 1) != hankel_from_sfraction(a, n)[-1]:
+    if hankel_det(mu_long, n - 1) != h[-1]:
         raise ArithmeticError(
             "internal disagreement between the determinant and product routes"
         )
@@ -327,14 +324,12 @@ def _run_checks(checks) -> list:
     return results
 
 
-def qcase_factorization_check(product: Triangle, n=None) -> CheckResult:
+def qcase_factorization_check(product: Triangle) -> CheckResult:
     """Entrywise factorization of the product triangle for the geometric
     coefficient sequence: entry (i, k) divided by q to the power
     binom(i-k+2, 2) - 1 equals the Gaussian binomial [i-1, i-k] times
     q^((k-1)(i-k)).  Reports the first failing entry."""
-    n = product.size if n is None else n
-    if n > product.size:
-        raise ValueError("region exceeds the triangle")
+    n = product.size
     for i in range(1, n):
         for k in range(1, i + 1):
             d = i - k

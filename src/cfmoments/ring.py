@@ -185,9 +185,6 @@ class QPoly:
     def __hash__(self):
         return hash(("QPoly",) + self.coeffs)
 
-    def __bool__(self):
-        return True
-
     def __str__(self):
         return _poly_text(self.coeffs)
 
@@ -401,9 +398,6 @@ class QRat:
     def __hash__(self):
         return hash(("QRat", _zq_coeffs(self.num), _zq_coeffs(self.den)))
 
-    def __bool__(self):
-        return True
-
     def __str__(self):
         return render(self)
 
@@ -477,7 +471,7 @@ def eval_q(p, v):
     return f.numerator if f.denominator == 1 else f
 
 
-def _poly_text(cs, var: str = "q"):
+def _poly_text(cs):
     parts = []
     for k, c in enumerate(cs):
         if c == 0:
@@ -486,7 +480,7 @@ def _poly_text(cs, var: str = "q"):
         if k == 0:
             body = str(mag)
         else:
-            pw = var if k == 1 else f"{var}^{k}"
+            pw = "q" if k == 1 else f"q^{k}"
             body = pw if mag == 1 else f"{mag}*{pw}"
         parts.append((c < 0, body))
     if not parts:
@@ -498,15 +492,15 @@ def _poly_text(cs, var: str = "q"):
     return out
 
 
-def _side_text(z, var, is_den=False):
-    s = str(z) if isinstance(z, int) else _poly_text(z.coeffs, var)
+def _side_text(z, is_den=False):
+    s = str(z) if isinstance(z, int) else _poly_text(z.coeffs)
     # a '*' in the denominator would rebind under left association
     if " " in s or (is_den and "*" in s):
         return f"({s})"
     return s
 
 
-def render(x, var: str = "q") -> str:
+def render(x) -> str:
     """Canonical text form: base-10 ints, p/r rationals, ascending
     polynomials like '1 + 2*q + q^2', quotients with parentheses around
     multi-term sides."""
@@ -515,8 +509,8 @@ def render(x, var: str = "q") -> str:
         if isinstance(x, (int, Fraction)):
             return str(x)
         if isinstance(x, QPoly):
-            return _poly_text(x.coeffs, var)
-        return f"{_side_text(x.num, var)}/{_side_text(x.den, var, is_den=True)}"
+            return _poly_text(x.coeffs)
+        return f"{_side_text(x.num)}/{_side_text(x.den, is_den=True)}"
     except ValueError:  # only int-to-text conversion raises it here
         raise DigitLimitError(
             "an integer in the result has more than "

@@ -50,23 +50,8 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs)
 
-    def coeff(self, k):
-        return self.coeffs[k]
-
     def truncate(self, order) -> "TruncatedSeries":
         return TruncatedSeries(self.coeffs, order)
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TruncatedSeries([self.coeffs[i] + other.coeffs[i] for i in range(n)])
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TruncatedSeries([self.coeffs[i] - other.coeffs[i] for i in range(n)])
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -263,10 +248,8 @@ def _schroder_g(order: int):
 
 def _schroder_phi(order: int):
     """Coefficients of the series solving phi = x^2 + 3 x phi + 2 phi^2
-    with phi = x^2 + ...; starts 0, 0, 1, 3, 11, 45, ..."""
-    ps = [0] * min(order, 2)
-    if order <= 2:
-        return (ps + [0, 0])[:order]
+    with phi = x^2 + ...; starts 0, 0, 1, 3, 11, 45, ...  Needs order at
+    least 3, which schroder_column always asks for."""
     ps = [0, 0, 1]
     for k in range(3, order):
         acc = 3 * ps[k - 1] + 2 * sum(ps[i] * ps[k - i] for i in range(2, k - 1))

@@ -1,8 +1,7 @@
 """Lower-triangular matrices and almost-lower-Hessenberg production
 matrices, with the operations the moment constructions are built from:
 generation from a production matrix, beheading, inversion, recovery of
-the production matrix, column rescaling, Hankel determinants, and
-entrywise products.
+the production matrix, column rescaling and Hankel determinants.
 
 Everything is exact; entries are ring scalars and all divisions either
 stay in the ring or raise.
@@ -33,10 +32,12 @@ def _check_entries(rows):
                 raise TypeError(f"matrix entry is not a ring scalar: {v!r}")
 
 
-class Triangle:
-    """Lower-triangular matrix; row i stores entries for columns 0..i."""
+class _Rows:
+    """Row store shared by both matrix shapes: row i holds
+    i + 1 + _extra entries."""
 
     __slots__ = ("rows",)
+    _extra = 0
 
     def __init__(self, rows):
         # Tuples are built from lists, never from generators: CPython
@@ -45,16 +46,34 @@ class Triangle:
         # run's memory creeps up until those lists fill (a few MB).
         rs = tuple([tuple(r) for r in rows])
         if not rs:
-            raise ValueError("empty triangle")
+            raise ValueError(f"empty {type(self).__name__}")
         for i, r in enumerate(rs):
-            if len(r) != i + 1:
-                raise ValueError(f"row {i} must have {i + 1} entries, got {len(r)}")
+            width = i + 1 + self._extra
+            if len(r) != width:
+                raise ValueError(f"row {i} must have {width} entries, got {len(r)}")
         _check_entries(rs)
         self.rows = rs
 
     @property
     def size(self) -> int:
         return len(self.rows)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({[list(r) for r in self.rows]!r})"
+
+
+class Triangle(_Rows):
+    """Lower-triangular matrix; row i stores entries for columns 0..i."""
+
+    __slots__ = ()
 
     def entry(self, i, j):
         """Entry at (i, j); zero above the diagonal."""
@@ -77,60 +96,12 @@ class Triangle:
     def identity(n) -> "Triangle":
         return Triangle([[0] * i + [1] for i in range(n)])
 
-    def __eq__(self, other):
-        if isinstance(other, Triangle):
-            return self.rows == other.rows
-        return NotImplemented
 
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"Triangle({[list(r) for r in self.rows]!r})"
-
-
-class ProductionMatrix:
+class ProductionMatrix(_Rows):
     """Almost-lower-Hessenberg matrix; row i stores columns 0..i+1."""
 
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rs = tuple([tuple(r) for r in rows])
-        if not rs:
-            raise ValueError("empty production matrix")
-        for i, r in enumerate(rs):
-            if len(r) != i + 2:
-                raise ValueError(f"row {i} must have {i + 2} entries, got {len(r)}")
-        _check_entries(rs)
-        self.rows = rs
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i, j):
-        """Entry at (i, j); zero above the superdiagonal."""
-        if j > i + 1:
-            return 0
-        return self.rows[i][j]
-
-    @property
-    def superdiagonal(self):
-        return tuple([r[i + 1] for i, r in enumerate(self.rows)])
-
-    def map_entries(self, fn) -> "ProductionMatrix":
-        return ProductionMatrix([[fn(v) for v in r] for r in self.rows])
-
-    def __eq__(self, other):
-        if isinstance(other, ProductionMatrix):
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"ProductionMatrix({[list(r) for r in self.rows]!r})"
+    __slots__ = ()
+    _extra = 1
 
 
 def generate(P: ProductionMatrix, n: int) -> Triangle:
@@ -153,24 +124,12 @@ def generate(P: ProductionMatrix, n: int) -> Triangle:
     return Triangle(rows)
 
 
-def behead(x) -> ProductionMatrix:
-    """Drop the first row.
-
-    Beheading a lower triangle yields exactly the almost-Hessenberg
-    shape.  A production-matrix input is accepted only when no nonzero
-    entry would land above the superdiagonal.
-    """
-    rows = x.rows
-    if len(rows) < 2:
+def behead(T: Triangle) -> ProductionMatrix:
+    """Drop the first row; beheading a lower triangle yields exactly the
+    almost-Hessenberg shape."""
+    if T.size < 2:
         raise ValueError("need at least two rows to behead")
-    if isinstance(x, Triangle):
-        return ProductionMatrix(rows[1:])
-    out = []
-    for i, r in enumerate(rows[1:]):
-        if any(v != 0 for v in r[i + 2 :]):
-            raise ValueError("beheading would move a nonzero entry above the superdiagonal")
-        out.append(r[: i + 2])
-    return ProductionMatrix(out)
+    return ProductionMatrix(T.rows[1:])
 
 
 def invert(T: Triangle) -> Triangle:
@@ -230,16 +189,15 @@ def production_of(T: Triangle) -> ProductionMatrix:
         for j in range(i + 2):
             s = 0
             for t in range(max(0, j - 1), i + 1):
-                if j <= t + 1:
-                    s = s + top_inv.rows[i][t] * T.rows[t + 1][j]
+                s = s + top_inv.rows[i][t] * T.rows[t + 1][j]
             row.append(s)
         out.append(row)
     return ProductionMatrix(out)
 
 
-def rescale_columns(T: Triangle, scale, divide: bool = False) -> Triangle:
-    """Scale column k of T by scale[k], or divide exactly when divide is
-    set.  Non-divisibility raises ExactDivisionError."""
+def rescale_columns(T: Triangle, scale) -> Triangle:
+    """Divide column k of T exactly by scale[k].  Non-divisibility raises
+    ExactDivisionError."""
     if len(scale) < T.size:
         raise ValueError("need a scale factor for every column")
     for v in scale[: T.size]:
@@ -247,12 +205,7 @@ def rescale_columns(T: Triangle, scale, divide: bool = False) -> Triangle:
             raise TypeError(f"scale factor is not a ring scalar: {v!r}")
         if v == 0:
             raise ValueError("zero scale factor")
-    rows = []
-    for r in T.rows:
-        if divide:
-            rows.append([exact_div(v, scale[j]) for j, v in enumerate(r)])
-        else:
-            rows.append([v * scale[j] for j, v in enumerate(r)])
+    rows = [[exact_div(v, scale[j]) for j, v in enumerate(r)] for r in T.rows]
     return Triangle(rows)
 
 

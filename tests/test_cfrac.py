@@ -23,16 +23,6 @@ CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 SCHRODER = [1, 1, 3, 11, 45, 197, 903]
 
 
-def test_term_accessor_is_one_indexed():
-    s = SFractionCoeffs([5, 6, 7])
-    assert s.term(1) == 5
-    assert s.term(3) == 7
-    with pytest.raises(IndexError):
-        s.term(0)
-    with pytest.raises(IndexError):
-        s.term(4)
-
-
 def test_jfraction_invariant():
     JFractionCoeffs([0], [])
     JFractionCoeffs([1, 2], [3])

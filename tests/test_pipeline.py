@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -50,10 +51,19 @@ def test_behead_route_catalan():
 
 
 def test_routes_agree_random():
+    # int, Fraction and Z[q] terms: the rescale route divides exactly in
+    # each ring and must land on the same triangle as the behead route
     rng = random.Random(11)
-    for _ in range(25):
+    draws = [
+        lambda: rng.randrange(1, 5),
+        lambda: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randrange(1, 4)),
+        lambda: rng.choice([1, -1, 2]) * q ** rng.randrange(0, 3)
+        * (1 + rng.randrange(0, 3) * q),
+    ]
+    for _ in range(75):
+        draw = rng.choice(draws)
         n = rng.randrange(2, 7)
-        terms = [1] + [rng.randrange(1, 5) for _ in range(n - 1)]
+        terms = [1] + [draw() for _ in range(n - 1)]
         a = SFractionCoeffs(terms)
         assert build_N_via_behead(a, n) == build_N_via_rescale(a, n)
 
