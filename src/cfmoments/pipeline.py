@@ -78,35 +78,27 @@ class CatalanLikenessError(ArithmeticError):
         self.order = order
 
 
-def _unit_bidiagonal(a: SFractionCoeffs, size: int) -> Triangle:
-    """Unit lower bidiagonal with -a1, -a2, ... below the diagonal."""
-    rows = [[1]]
-    for i in range(1, size):
-        rows.append([0] * (i - 1) + [-a.terms[i - 1], 1])
-    return Triangle(rows)
-
-
-def build_N_via_behead(a: SFractionCoeffs, n: int) -> Triangle:
+def build_N_via_behead(a: SFractionCoeffs, n: int) -> tuple[Triangle, ProductionMatrix]:
     """First construction: generate from the beheaded inverse of the
-    unit bidiagonal matrix holding the negated coefficients."""
-    if n < 1:
-        raise ValueError("size must be positive")
+    unit lower bidiagonal matrix with -a1, -a2, ... below the diagonal.
+    Takes n >= 2 and returns (N, P), P the n - 1 production rows."""
+    if n < 2:
+        raise ValueError("size must be at least 2")
     if len(a.terms) < n:
         raise InsufficientCoefficients(f"need {n} coefficients, got {len(a.terms)}")
-    cumulative = invert(_unit_bidiagonal(a, n + 1))
-    return generate(behead(cumulative), n)
+    bidiagonal = [[1]] + [[0] * (i - 1) + [-a.terms[i - 1], 1] for i in range(1, n)]
+    P = behead(invert(Triangle(bidiagonal)))
+    return generate(P, n), P
 
 
 def build_N_via_rescale(a: SFractionCoeffs, n: int) -> Triangle:
     """Second construction: generate from the staircase production
     matrix whose row i is filled with a_{i+1}, then divide column k by
-    the product a_1 ... a_k.  The division is exact."""
-    if n < 1:
-        raise ValueError("size must be positive")
+    the product a_1 ... a_k.  The division is exact.  Takes n >= 2."""
+    if n < 2:
+        raise ValueError("size must be at least 2")
     if len(a.terms) < n:
         raise InsufficientCoefficients(f"need {n} coefficients, got {len(a.terms)}")
-    if n == 1:
-        return Triangle([[1]])
     for v in a.terms[: n - 1]:
         if v == 0:
             raise ValueError("zero coefficient makes the column divisors vanish")
@@ -150,16 +142,15 @@ def op_coeff_triangle(j: JFractionCoeffs, n: int) -> Triangle:
     return Triangle(rows)
 
 
-def build_M(a: SFractionCoeffs, n: int) -> Triangle:
+def build_M(a: SFractionCoeffs, n: int) -> tuple[Triangle, ProductionMatrix]:
     """Moment triangle of the two-parameter form, built two independent
     ways: generated from the tridiagonal production matrix, and as the
     inverse of the polynomial coefficient triangle.  The two must agree;
-    disagreement signals a bug and raises."""
-    if n < 1:
-        raise ValueError("size must be positive")
+    disagreement signals a bug and raises.  Takes n >= 2 and returns
+    (M, P), P the tridiagonal production matrix."""
+    if n < 2:
+        raise ValueError("size must be at least 2")
     j = s_to_j(a)
-    if n == 1:
-        return Triangle([[1]])
     if len(j.b) < n - 1:
         raise InsufficientCoefficients(
             f"need {n - 1} two-parameter levels, got {len(j.b)}"
@@ -172,13 +163,13 @@ def build_M(a: SFractionCoeffs, n: int) -> Triangle:
         row[i] = j.b[i]
         row[i + 1] = 1
         rows.append(row)
-    via_production = generate(ProductionMatrix(rows), n)
-    via_polynomials = invert(op_coeff_triangle(j, n))
-    if via_production != via_polynomials:
+    P = ProductionMatrix(rows)
+    via_production = generate(P, n)
+    if via_production != invert(op_coeff_triangle(j, n)):
         raise ArithmeticError(
             "internal disagreement between the production and polynomial routes"
         )
-    return via_production
+    return via_production, P
 
 
 class ComparisonResult:
@@ -217,7 +208,9 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
     Hankel determinants h_0 .. h_{n-1}, taken from the product formula
     (raises CatalanLikenessError at the first zero).  The last
     determinant is also computed by one fraction-free elimination of the
-    moments; disagreement signals a bug and raises.
+    moments; disagreement signals a bug and raises.  ``prodN`` and
+    ``prodM`` are the builders' own production matrices: a unit-diagonal
+    triangle has only one, so the route agreements on N and M certify them.
     """
     if n < 2:
         raise ValueError("size must be at least 2")
@@ -235,12 +228,10 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
         raise ArithmeticError(
             "internal disagreement between the determinant and product routes"
         )
-    N = build_N_via_behead(a, n)
+    N, prodN = build_N_via_behead(a, n)
     N_again = build_N_via_rescale(a, n)
-    M = build_M(a, n)
+    M, prodM = build_M(a, n)
     C = mul(invert(N), M)
-    prodN = production_of(N)
-    prodM = production_of(M)
     prodCinv = production_of(invert(C))
     mu = mu_long[:n]
     diagnostics = [
@@ -377,10 +368,10 @@ def _schroder_families(n: int):
     return even, odd
 
 
-def _flag_triangle(cumulative: Triangle, n: int) -> Triangle:
-    """Size-n triangle: a unit corner, then the cumulative-product rows
-    shifted one place down and right."""
-    return Triangle([[1]] + [[0] + list(cumulative.rows[i]) for i in range(n - 1)])
+def _flag_triangle(cumulative) -> Triangle:
+    """A unit corner, then all but the last of the cumulative-product
+    rows shifted one place down and right; as many rows as given."""
+    return Triangle([[1]] + [[0, *row] for row in cumulative[:-1]])
 
 
 def _parity_row_recurrences(C: Triangle):
@@ -441,7 +432,7 @@ def _schroder_structure(r: ComparisonResult, flag, even, odd, n_inv) -> list:
 def schroder_structure_checks(result: ComparisonResult) -> list:
     """Structural identities special to the alternating 1, 2 sequence."""
     n = result.N.size
-    flag = _flag_triangle(invert(_unit_bidiagonal(result.a, n)), n)
+    flag = _flag_triangle(((1,),) + result.prodN.rows)
     even, odd = _schroder_families(n)
     return _run_checks(
         _schroder_structure(result, flag, even, odd, invert(result.N))
@@ -858,6 +849,7 @@ def _qcase_numeric_checks(v: int, n: int) -> list:
     r = compare(a, nn)
 
     def specializes_symbolic_product():
+        # rebuilt on purpose: the symbolic product is this check's second route
         sym = compare(_q_power_coeffs(12), 6)
         ok = sym.C.map_entries(lambda s: eval_q(s, v)) == Triangle(r.C.rows[:6])
         return ok, f"evaluated at q={v}"
@@ -935,8 +927,9 @@ def _schroder_checks(n: int) -> list:
     a = SFractionCoeffs([1 if k % 2 == 0 else 2 for k in range(2 * n)])
     r = compare(a, n)
     mu_long = moments_from_sfraction(a, 2 * n - 1)
-    cumulative = invert(_unit_bidiagonal(a, n + 1))
-    flag = _flag_triangle(cumulative, n)
+    # the cumulative-product rows are row 0 and the rows beheaded into prodN
+    cumulative = Triangle(((1,),) + r.prodN.rows)
+    flag = _flag_triangle(cumulative.rows)
     even, odd = _schroder_families(n)
     n_inv = invert(r.N)
     return (
@@ -1004,7 +997,7 @@ def verify_example(name: str, size: int, q_value=None) -> VerifyReport:
         raise ValueError("size must be at least 6 to cover the reference displays")
     if name != "qcase" and q_value is not None:
         raise ValueError("only the geometric example takes a q value")
-    if q_value is not None and (not isinstance(q_value, int) or isinstance(q_value, bool)):
+    if q_value is not None and type(q_value) is not int:
         raise TypeError("q value must be a plain int")
     checks = _run_checks(_EXAMPLES[name](size, q_value))
     return VerifyReport(name, size, q_value, checks)

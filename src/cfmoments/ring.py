@@ -1,11 +1,12 @@
 """Exact scalar arithmetic: integers, rationals, integer polynomials in q,
 and quotients of such polynomials.
 
-A scalar is one of four types: plain ``int``, ``fractions.Fraction``,
-``QPoly``, ``QRat``.  Values always live in the simplest type that can
-hold them exactly: constant polynomials demote to int, quotients reduce
-and demote when the denominator cancels.  This keeps equality structural
-and renderings canonical.  No floating point is accepted anywhere.
+A scalar's type is exactly ``int``, ``fractions.Fraction``, ``QPoly`` or
+``QRat``; bool and other subclasses are not scalars.  Values always live
+in the simplest type that can hold them exactly: constant polynomials
+demote to int, quotients reduce and demote when the denominator cancels.
+This keeps equality structural and renderings canonical.  No floating
+point is accepted anywhere.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _strip(coeffs):
 
 def _check_int_coeffs(cs):
     for c in cs:
-        if not isinstance(c, int) or isinstance(c, bool):
+        if type(c) is not int:
             raise TypeError("coefficients must be plain ints")
 
 
@@ -103,19 +104,18 @@ class QPoly:
         return len(self.coeffs) - 1
 
     def __add__(self, other):
-        if isinstance(other, bool):
-            return NotImplemented
-        if isinstance(other, int):
+        t = type(other)
+        if t is int:
             cs = list(self.coeffs)
             cs[0] += other
             return QPoly._from_ints(cs)
-        if isinstance(other, QPoly):
+        if t is QPoly:
             a, b = self.coeffs, other.coeffs
             n = max(len(a), len(b))
             return QPoly._from_ints(
                 [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
             )
-        if isinstance(other, Fraction):
+        if t is Fraction:
             return QRat.make(self * other.denominator + other.numerator, other.denominator)
         return NotImplemented
 
@@ -125,21 +125,20 @@ class QPoly:
         return QPoly._from_ints([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, QPoly, Fraction)) and not isinstance(other, bool):
+        if type(other) in _SCALAR_TYPES:
             return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (int, QPoly, Fraction)) and not isinstance(other, bool):
+        if type(other) in _SCALAR_TYPES:
             return (-self) + other
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, bool):
-            return NotImplemented
-        if isinstance(other, int):
+        t = type(other)
+        if t is int:
             return QPoly._from_ints([c * other for c in self.coeffs])
-        if isinstance(other, QPoly):
+        if t is QPoly:
             a, b = self.coeffs, other.coeffs
             out = [0] * (len(a) + len(b) - 1)
             for i, ca in enumerate(a):
@@ -147,14 +146,14 @@ class QPoly:
                     for j, cb in enumerate(b):
                         out[i + j] += ca * cb
             return QPoly._from_ints(out)
-        if isinstance(other, Fraction):
+        if t is Fraction:
             return QRat.make(self * other.numerator, other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("exponent must be a nonnegative int")
         r = 1
         b = self
@@ -176,9 +175,10 @@ class QPoly:
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, QPoly):
+        t = type(other)
+        if t is QPoly:
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if t is int or t is Fraction:
             return False
         return NotImplemented
 
@@ -196,7 +196,7 @@ q = QPoly((0, 1))
 
 
 def _zq_coeffs(x):
-    return (x,) if isinstance(x, int) else x.coeffs
+    return (x,) if type(x) is int else x.coeffs
 
 
 def _prem(a, b):
@@ -278,15 +278,12 @@ def _zq_exact_div(x, y):
 
 
 def _as_zq_pair(x):
-    if isinstance(x, bool):
-        return None
-    if isinstance(x, int):
+    t = type(x)
+    if t is int or t is QPoly:
         return (x, 1)
-    if isinstance(x, Fraction):
+    if t is Fraction:
         return (x.numerator, x.denominator)
-    if isinstance(x, QPoly):
-        return (x, 1)
-    if isinstance(x, QRat):
+    if t is QRat:
         return (x.num, x.den)
     return None
 
@@ -303,7 +300,7 @@ class QRat:
 
     def __init__(self, num, den):
         v = QRat.make(num, den)
-        if not isinstance(v, QRat):
+        if type(v) is not QRat:
             raise ValueError("value demotes to a simpler type; use QRat.make")
         self.num = v.num
         self.den = v.den
@@ -329,7 +326,7 @@ class QRat:
             n, d = -n, -d
         if d == 1:
             return n
-        if isinstance(n, int) and isinstance(d, int):
+        if type(n) is int and type(d) is int:
             return Fraction(n, d)
         r = object.__new__(QRat)
         r.num = n
@@ -383,7 +380,7 @@ class QRat:
         return QRat.make(p[0] * self.den, p[1] * self.num)
 
     def __pow__(self, n):
-        if not isinstance(n, int) or isinstance(n, bool):
+        if type(n) is not int:
             raise ValueError("exponent must be an int")
         if n < 0:
             return QRat.make(self.den ** (-n), self.num ** (-n))
@@ -405,9 +402,12 @@ class QRat:
         return f"QRat({render(self)!r})"
 
 
+_SCALAR_TYPES = frozenset((int, Fraction, QPoly, QRat))
+
+
 def is_scalar(x) -> bool:
-    """True for the four exact scalar types; bools and floats are rejected."""
-    return isinstance(x, (int, Fraction, QPoly, QRat)) and not isinstance(x, bool)
+    """True when type(x) is exactly one of the four scalar types."""
+    return type(x) in _SCALAR_TYPES
 
 
 def _require_scalar(x):
@@ -419,7 +419,7 @@ def field_div(x, y):
     """x / y in the smallest field containing the operands."""
     _require_scalar(x)
     _require_scalar(y)
-    if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
+    if type(x) in (int, Fraction) and type(y) in (int, Fraction):
         if y == 0:
             raise ZeroDivisionError("division by zero")
         return Fraction(x) / Fraction(y)
@@ -437,9 +437,9 @@ def exact_div(x, y):
     _require_scalar(y)
     if y == 0:
         raise ZeroDivisionError("exact_div by zero")
-    if isinstance(x, (Fraction, QRat)) or isinstance(y, (Fraction, QRat)):
+    if type(x) in (Fraction, QRat) or type(y) in (Fraction, QRat):
         return field_div(x, y)
-    if isinstance(x, int) and isinstance(y, int):
+    if type(x) is int and type(y) is int:
         quot, rem = divmod(x, y)
         if rem:
             raise ExactDivisionError(f"{x} not divisible by {y}")
@@ -453,12 +453,12 @@ def eval_q(p, v):
     Constants pass through unchanged.  A quotient whose denominator
     vanishes at v raises ZeroDivisionError.
     """
-    if not isinstance(v, int) or isinstance(v, bool):
+    if type(v) is not int:
         raise TypeError("evaluation point must be a plain int")
     _require_scalar(p)
-    if isinstance(p, (int, Fraction)):
+    if type(p) in (int, Fraction):
         return p
-    if isinstance(p, QPoly):
+    if type(p) is QPoly:
         acc = 0
         for c in reversed(p.coeffs):
             acc = acc * v + c
@@ -493,7 +493,7 @@ def _poly_text(cs):
 
 
 def _side_text(z, is_den=False):
-    s = str(z) if isinstance(z, int) else _poly_text(z.coeffs)
+    s = str(z) if type(z) is int else _poly_text(z.coeffs)
     # a '*' in the denominator would rebind under left association
     if " " in s or (is_den and "*" in s):
         return f"({s})"
@@ -506,9 +506,9 @@ def render(x) -> str:
     multi-term sides."""
     _require_scalar(x)
     try:
-        if isinstance(x, (int, Fraction)):
+        if type(x) in (int, Fraction):
             return str(x)
-        if isinstance(x, QPoly):
+        if type(x) is QPoly:
             return _poly_text(x.coeffs)
         return f"{_side_text(x.num)}/{_side_text(x.den, is_den=True)}"
     except ValueError:  # only int-to-text conversion raises it here

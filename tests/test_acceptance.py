@@ -277,12 +277,16 @@ def test_criterion_7_property_suites():
     for _ in range(200):
         n = rng.randrange(2, 11)
         a = SFractionCoeffs([rng.randrange(1, 6) for _ in range(n)])
-        assert build_N_via_behead(a, n) == build_N_via_rescale(a, n)
+        N, P = build_N_via_behead(a, n)
+        assert N == build_N_via_rescale(a, n)
+        assert P == production_of(N)
 
     for _ in range(200):
         n = rng.randrange(2, 11)
         a = SFractionCoeffs([rng.randrange(1, 6) for _ in range(2 * n)])
-        assert build_M(a, n) == invert(op_coeff_triangle(s_to_j(a), n))
+        M, P = build_M(a, n)
+        assert M == invert(op_coeff_triangle(s_to_j(a), n))
+        assert P == production_of(M)
 
     for _ in range(100):
         m = rng.randrange(2, 9)

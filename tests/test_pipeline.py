@@ -44,7 +44,8 @@ def q_powers(n):
 
 
 def test_behead_route_catalan():
-    N = build_N_via_behead(ones(6), 6)
+    N, P = build_N_via_behead(ones(6), 6)
+    assert P == production_of(N)
     c = catalan_series(6)
     xc = TruncatedSeries((0,) + c.coeffs[:-1])
     assert N == riordan_matrix(RiordanPair(c, xc), 6)
@@ -52,7 +53,8 @@ def test_behead_route_catalan():
 
 def test_routes_agree_random():
     # int, Fraction and Z[q] terms: the rescale route divides exactly in
-    # each ring and must land on the same triangle as the behead route
+    # each ring and must land on the same triangle as the behead route;
+    # each builder's production matrix is the one production_of recovers
     rng = random.Random(11)
     draws = [
         lambda: rng.randrange(1, 5),
@@ -65,17 +67,25 @@ def test_routes_agree_random():
         n = rng.randrange(2, 7)
         terms = [1] + [draw() for _ in range(n - 1)]
         a = SFractionCoeffs(terms)
-        assert build_N_via_behead(a, n) == build_N_via_rescale(a, n)
+        N, P = build_N_via_behead(a, n)
+        assert N == build_N_via_rescale(a, n)
+        assert P == production_of(N)
+        # n terms give (n + 1) // 2 two-parameter levels
+        M, P = build_M(a, (n + 3) // 2)
+        assert P == production_of(M)
 
 
 def test_routes_agree_symbolic():
     a = q_powers(6)
-    assert build_N_via_behead(a, 6) == build_N_via_rescale(a, 6)
+    N, P = build_N_via_behead(a, 6)
+    assert N == build_N_via_rescale(a, 6)
+    assert P == production_of(N)
 
 
 def test_build_n_size_one():
-    assert build_N_via_behead(ones(1), 1) == Triangle([[1]])
-    assert build_N_via_rescale(ones(1), 1) == Triangle([[1]])
+    for build in (build_N_via_behead, build_N_via_rescale, build_M):
+        with pytest.raises(ValueError, match="at least 2"):
+            build(ones(4), 1)
 
 
 def test_build_n_insufficient():
@@ -110,19 +120,24 @@ def test_build_m_first_column_is_moments():
     from cfmoments.cfrac import moments_from_sfraction
 
     a = alternating(8)
-    M = build_M(a, 4)
+    M, P = build_M(a, 4)
     assert list(M.column(0)) == moments_from_sfraction(a, 4)
+    assert P == production_of(M)
 
 
 def test_build_m_matches_riordan_catalan():
     c = catalan_series(6)
     xc2 = TruncatedSeries((0,) + tuple((c * c).coeffs[:-1]))
-    assert build_M(ones(11), 6) == riordan_matrix(RiordanPair(c, xc2), 6)
+    M, P = build_M(ones(11), 6)
+    assert M == riordan_matrix(RiordanPair(c, xc2), 6)
+    assert P == production_of(M)
 
 
 def test_build_m_inverts_op_coeff():
     a = q_powers(9)
-    assert invert(build_M(a, 5)) == op_coeff_triangle(s_to_j(a), 5)
+    M, P = build_M(a, 5)
+    assert invert(M) == op_coeff_triangle(s_to_j(a), 5)
+    assert P == production_of(M)
 
 
 # --- compare ---
@@ -165,6 +180,8 @@ def test_compare_over_rational_functions_routes_agree(n):
     assert all(ok for _, ok in r.diagnostics)
     assert list(r.N.column(0)) == moments_from_jfraction(s_to_j(a), n)
     assert mul(r.N, r.C) == r.M
+    assert r.prodN == production_of(r.N)
+    assert r.prodM == production_of(r.M)
 
 
 def test_compare_smallest_size():
@@ -320,9 +337,9 @@ def test_verify_builds_each_construction_once(monkeypatch):
 
         monkeypatch.setattr(pipeline, name, counted)
     assert verify_example("schroder", 6).passed
-    assert calls["invert"] <= 8
+    assert calls["invert"] <= 7
     assert calls["riordan_matrix"] == 3
-    assert calls["production_of"] == 3
+    assert calls["production_of"] == 1
 
 
 def test_discrepancy_check_fails_when_computation_drifts():

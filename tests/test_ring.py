@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfmoments.cfrac import SFractionCoeffs
 from cfmoments.ring import (
     DigitLimitError,
     ExactDivisionError,
@@ -22,6 +23,7 @@ from cfmoments.ring import (
     q,
     render,
 )
+from cfmoments.triangle import Triangle
 
 
 def test_monomial_product():
@@ -183,6 +185,10 @@ def test_digit_limit_for_literals_and_renderings():
             render(value)
 
 
+class _Int(int):
+    pass
+
+
 def test_named_ops_reject_floats():
     with pytest.raises(TypeError):
         exact_div(1.5, 1)
@@ -191,8 +197,27 @@ def test_named_ops_reject_floats():
     with pytest.raises(TypeError):
         q * 0.5
     assert not is_scalar(1.5)
-    assert not is_scalar(True)
     assert is_scalar(q)
+    # a scalar's type is exactly int, Fraction, QPoly or QRat: bool and
+    # other subclasses of int are refused the same way everywhere
+    for x in (True, _Int(3)):
+        assert not is_scalar(x)
+        for op in (
+            lambda: exact_div(x, 1),
+            lambda: exact_div(6, x),
+            lambda: field_div(x, q),
+            lambda: eval_q(x, 2),
+            lambda: eval_q(q, x),
+            lambda: render(x),
+            lambda: q + x,
+            lambda: q * x,
+            lambda: QRat.make(x, 1),
+            lambda: QPoly((0, x)),
+            lambda: Triangle([[x]]),
+            lambda: SFractionCoeffs([x]),
+        ):
+            with pytest.raises(TypeError):
+                op()
 
 
 def _random_scalar(rng, depth=0):
