@@ -16,7 +16,6 @@ from cfmoments import (
     compare,
     hankel_transform,
     interleave_columns,
-    invert,
     moments_from_sfraction,
     render,
     riordan_matrix,
@@ -46,7 +45,7 @@ def main():
     show("first matrix", r.N.rows)
     show("second matrix", r.M.rows)
     show("connecting product", r.C.rows)
-    show("inverse of the first matrix", invert(r.N).rows)
+    show("inverse of the first matrix", r.Ninv.rows)
 
     # the first matrix weaves the second together with a partner array
     # built from the same quadratic series pair

@@ -174,14 +174,16 @@ def build_M(a: SFractionCoeffs, n: int) -> tuple[Triangle, ProductionMatrix]:
 
 class ComparisonResult:
     """Bundle of everything the comparison produces: the coefficient
-    sequence, moments, both matrices, their product, production
-    matrices, and named self-consistency diagnostics."""
+    sequence, moments, both matrices, the first one's inverse, their
+    product, production matrices, and named self-consistency
+    diagnostics."""
 
     __slots__ = (
         "a",
         "mu",
         "N",
         "M",
+        "Ninv",
         "C",
         "prodN",
         "prodM",
@@ -189,11 +191,12 @@ class ComparisonResult:
         "diagnostics",
     )
 
-    def __init__(self, a, mu, N, M, C, prodN, prodM, prodCinv, diagnostics):
+    def __init__(self, a, mu, N, M, Ninv, C, prodN, prodM, prodCinv, diagnostics):
         self.a = a
         self.mu = mu
         self.N = N
         self.M = M
+        self.Ninv = Ninv
         self.C = C
         self.prodN = prodN
         self.prodM = prodM
@@ -231,7 +234,8 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
     N, prodN = build_N_via_behead(a, n)
     N_again = build_N_via_rescale(a, n)
     M, prodM = build_M(a, n)
-    C = mul(invert(N), M)
+    Ninv = invert(N)
+    C = mul(Ninv, M)
     prodCinv = production_of(invert(C))
     mu = mu_long[:n]
     diagnostics = [
@@ -241,7 +245,7 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
         ("product-first-column-is-unit-vector", list(C.column(0)) == [1] + [0] * (n - 1)),
         ("unit-diagonals", N.unit_diagonal and M.unit_diagonal and C.unit_diagonal),
     ]
-    return ComparisonResult(a, mu, N, M, C, prodN, prodM, prodCinv, diagnostics)
+    return ComparisonResult(a, mu, N, M, Ninv, C, prodN, prodM, prodCinv, diagnostics)
 
 
 def q_binomial(m: int, k: int):
@@ -396,7 +400,7 @@ def _inverse_row_mixture(n_inv: Triangle, even: Triangle, odd: Triangle):
     return True, f"rows 0..{n_inv.size - 1}"
 
 
-def _schroder_structure(r: ComparisonResult, flag, even, odd, n_inv) -> list:
+def _schroder_structure(r: ComparisonResult, flag, even, odd) -> list:
     n = r.N.size
     return [
         ("parity-row-recurrences", lambda: _parity_row_recurrences(r.C)),
@@ -424,7 +428,7 @@ def _schroder_structure(r: ComparisonResult, flag, even, odd, n_inv) -> list:
                 f"columns 0..{n - 1}",
             ),
         ),
-        ("inverse-row-mixture", lambda: _inverse_row_mixture(n_inv, even, odd)),
+        ("inverse-row-mixture", lambda: _inverse_row_mixture(r.Ninv, even, odd)),
         ("odd-family-is-second-matrix-inverse", lambda: odd == invert(r.M)),
     ]
 
@@ -434,9 +438,7 @@ def schroder_structure_checks(result: ComparisonResult) -> list:
     n = result.N.size
     flag = _flag_triangle(((1,),) + result.prodN.rows)
     even, odd = _schroder_families(n)
-    return _run_checks(
-        _schroder_structure(result, flag, even, odd, invert(result.N))
-    )
+    return _run_checks(_schroder_structure(result, flag, even, odd))
 
 
 # ---------------------------------------------------------------------------
@@ -931,7 +933,6 @@ def _schroder_checks(n: int) -> list:
     cumulative = Triangle(((1,),) + r.prodN.rows)
     flag = _flag_triangle(cumulative.rows)
     even, odd = _schroder_families(n)
-    n_inv = invert(r.N)
     return (
         _diagnostic_checks(r)
         + [
@@ -945,7 +946,7 @@ def _schroder_checks(n: int) -> list:
             ),
             _display("first-matrix-reference-display", r.N, _REF_S_N),
             _display("second-matrix-reference-display", r.M, _REF_S_M),
-            _display("first-matrix-inverse-reference-display", n_inv, _REF_S_NINV),
+            _display("first-matrix-inverse-reference-display", r.Ninv, _REF_S_NINV),
             _display("product-reference-display", r.C, _REF_S_C),
             _display("first-production-reference-display", r.prodN, _REF_S_PRODN),
             _display("second-production-reference-display", r.prodM, _REF_S_PRODM),
@@ -958,7 +959,7 @@ def _schroder_checks(n: int) -> list:
             _display("even-family-reference-display", even, _REF_S_EVEN_FAMILY),
             _display("odd-family-reference-display", odd, _REF_S_ODD_FAMILY),
         ]
-        + _schroder_structure(r, flag, even, odd, n_inv)
+        + _schroder_structure(r, flag, even, odd)
         + _hankel_and_qd_checks(
             a,
             mu_long,

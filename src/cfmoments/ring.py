@@ -293,17 +293,11 @@ class QRat:
 
     Invariants: nonzero denominator with positive leading coefficient,
     gcd(num, den) = 1, and the value does not fit a simpler type (those
-    demote through ``QRat.make``).
+    demote through ``QRat.make``).  Every value comes from ``QRat.make``
+    or the arithmetic; the class has no constructor of its own.
     """
 
     __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        v = QRat.make(num, den)
-        if type(v) is not QRat:
-            raise ValueError("value demotes to a simpler type; use QRat.make")
-        self.num = v.num
-        self.den = v.den
 
     @staticmethod
     def make(num, den=1):

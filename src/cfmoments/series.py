@@ -3,23 +3,21 @@
 A TruncatedSeries holds coefficients up to a fixed order; operations
 truncate to the shorter operand.  A RiordanPair (g, f) with g(0)
 invertible, f(0) = 0, f'(0) invertible describes a lower-triangular
-array whose column k holds the coefficients of g * f^k; pairs multiply
-by substitution and invert within the group.
+array whose column k holds the coefficients of g * f^k.  A pair's group
+inverse is the matrix inverse of its array, so ``riordan_inverse`` reads
+it off ``triangle.invert``.
 """
 
 from __future__ import annotations
 
 from .ring import field_div, is_scalar
-from .triangle import Triangle
+from .triangle import Triangle, invert
 
 __all__ = [
     "TruncatedSeries",
     "RiordanPair",
     "series_from_rational",
     "series_mul",
-    "series_reciprocal",
-    "series_compose",
-    "series_revert",
     "catalan_series",
     "riordan_matrix",
     "riordan_inverse",
@@ -107,47 +105,6 @@ def series_mul(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse; needs an invertible constant term."""
-    if s.coeffs[0] == 0:
-        raise ZeroDivisionError("no constant term to invert")
-    return series_from_rational([1], list(s.coeffs), s.order)
-
-
-def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
-    """outer(inner(x)); inner must have zero constant term."""
-    if inner.coeffs[0] != 0:
-        raise ValueError("inner series must vanish at 0")
-    n = min(outer.order, inner.order)
-    acc = TruncatedSeries([0], n)
-    inner_n = inner.truncate(n)
-    for c in reversed(outer.coeffs[:n]):
-        acc = series_mul(acc, inner_n)
-        acc = TruncatedSeries([acc.coeffs[0] + c] + list(acc.coeffs[1:]))
-    return acc
-
-
-def series_revert(f: TruncatedSeries) -> TruncatedSeries:
-    """Compositional inverse g with f(g(x)) = x.
-
-    Needs f(0) = 0 and f'(0) invertible; solved coefficient by
-    coefficient.
-    """
-    if f.coeffs[0] != 0:
-        raise ValueError("series must vanish at 0")
-    if f.order < 2 or f.coeffs[1] == 0:
-        raise ValueError("linear coefficient must be invertible")
-    n = f.order
-    f1 = f.coeffs[1]
-    inv1 = 1 if f1 == 1 else field_div(1, f1)
-    g = [0, inv1] + [0] * (n - 2)
-    for k in range(2, n):
-        # the x^k coefficient of f(g) is linear in g[k] with slope f1
-        comp = series_compose(f, TruncatedSeries(g[: k + 1]))
-        g[k] = -(inv1 * comp.coeffs[k]) if comp.coeffs[k] != 0 else 0
-    return TruncatedSeries(g, n)
-
-
 def catalan_series(order: int) -> TruncatedSeries:
     """The series c with c = 1 + x c^2; integer coefficients."""
     if order < 1:
@@ -206,9 +163,12 @@ def riordan_matrix(p: RiordanPair, n: int) -> Triangle:
 
 
 def riordan_inverse(p: RiordanPair) -> RiordanPair:
-    """Group inverse: (1 / g(fbar), fbar) with fbar the reversion of f."""
-    fbar = series_revert(p.f)
-    return RiordanPair(series_reciprocal(series_compose(p.g, fbar)), fbar)
+    """Group inverse, read off the inverse matrix: its column 0 is the
+    new g and its column 1 is the new g times the new f."""
+    n = p.order
+    inv = invert(riordan_matrix(p, n))
+    g = inv.column(0)
+    return RiordanPair(TruncatedSeries(g), series_from_rational(inv.column(1), g, n))
 
 
 def interleave_columns(A: Triangle, B: Triangle) -> Triangle:

@@ -177,22 +177,13 @@ def production_of(T: Triangle) -> ProductionMatrix:
     """The unique production matrix that generates T.
 
     Equals the inverse of T without its last row, applied to T without
-    its first row; returns size-1 production rows.
+    its first row; returns size-1 production rows.  Computed as the
+    product diag(1, that inverse) * T with its first row dropped.
     """
-    n = T.size
-    if n < 2:
+    if T.size < 2:
         raise ValueError("need at least two rows")
-    top_inv = invert(Triangle(T.rows[: n - 1]))
-    out = []
-    for i in range(n - 1):
-        row = []
-        for j in range(i + 2):
-            s = 0
-            for t in range(max(0, j - 1), i + 1):
-                s = s + top_inv.rows[i][t] * T.rows[t + 1][j]
-            row.append(s)
-        out.append(row)
-    return ProductionMatrix(out)
+    top_inv = invert(Triangle(T.rows[:-1]))
+    return behead(mul(Triangle([[1]] + [[0, *r] for r in top_inv.rows]), T))
 
 
 def rescale_columns(T: Triangle, scale) -> Triangle:

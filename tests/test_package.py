@@ -1,5 +1,15 @@
+import ast
+import pathlib
+
 import cfmoments
-from cfmoments import cfrac, pipeline, ring, series, triangle
+from cfmoments import cfrac, cli, pipeline, ring, series, triangle
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# exports kept although nothing in the library, the demos or the benchmark
+# uses them: the only evidence that the Schröder checks can fail, and the
+# documented JSON round trip
+_KEPT_WITHOUT_CALLER = {"schroder_structure_checks", "parse_matrix_json"}
 
 
 def test_all_lists_every_submodule_export_once():
@@ -10,3 +20,30 @@ def test_all_lists_every_submodule_export_once():
             assert exported in cfmoments.__all__
             assert getattr(cfmoments, exported) is getattr(module, name)
     assert not hasattr(cfmoments, "mul")
+
+
+def _references(tree):
+    """Each name or attribute in a module's code, with the module-level
+    def or class it sits in (None outside them).  A def or class
+    statement and an __all__ string are neither."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+
+
+def test_every_export_has_a_caller():
+    # an export counts as called when src/, demos/ or bench/ refers to it
+    # by name from outside its own definition
+    referenced = set()
+    for folder in ("src", "demos", "bench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for name, owner in _references(tree):
+                if name != owner:
+                    referenced.add(name)
+    exports = set(cfmoments.__all__) | set(cli.__all__)
+    assert sorted(exports - referenced) == sorted(_KEPT_WITHOUT_CALLER)

@@ -337,7 +337,7 @@ def test_verify_builds_each_construction_once(monkeypatch):
 
         monkeypatch.setattr(pipeline, name, counted)
     assert verify_example("schroder", 6).passed
-    assert calls["invert"] <= 7
+    assert calls["invert"] <= 6
     assert calls["riordan_matrix"] == 3
     assert calls["production_of"] == 1
 

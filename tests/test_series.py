@@ -1,10 +1,11 @@
-"""Series expansion, reversion, Riordan arrays, column interleaving."""
+"""Series expansion, Riordan arrays and their inverses, column interleaving."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from cfmoments.ring import QPoly
 from cfmoments.series import (
     RiordanPair,
     TruncatedSeries,
@@ -13,11 +14,8 @@ from cfmoments.series import (
     riordan_matrix,
     riordan_inverse,
     schroder_column,
-    series_compose,
     series_from_rational,
     series_mul,
-    series_reciprocal,
-    series_revert,
 )
 from cfmoments.triangle import Triangle, mul as tmul
 
@@ -46,40 +44,6 @@ def test_mul_truncates_to_shorter():
     a = TruncatedSeries([1, 1, 1, 1])
     b = TruncatedSeries([1, 2])
     assert series_mul(a, b).coeffs == (1, 3)
-
-
-def test_reciprocal():
-    s = TruncatedSeries([1, -1, 0, 0, 0])
-    assert series_reciprocal(s).coeffs == (1, 1, 1, 1, 1)
-    geom = series_from_rational([1], [1, -2, 5], 6)
-    assert series_mul(geom, series_reciprocal(geom)).coeffs == (1, 0, 0, 0, 0, 0)
-    with pytest.raises(ZeroDivisionError):
-        series_reciprocal(TruncatedSeries([0, 1]))
-
-
-def test_compose_fibonacci():
-    outer = series_from_rational([1], [1, -1], 6)
-    inner = TruncatedSeries([0, 1, 1, 0, 0, 0])
-    assert series_compose(outer, inner).coeffs == (1, 1, 2, 3, 5, 8)
-    with pytest.raises(ValueError):
-        series_compose(outer, TruncatedSeries([1, 1]))
-
-
-def test_revert_catalan_kernel():
-    f = TruncatedSeries([0, 1, -1, 0, 0, 0])
-    assert series_revert(f).coeffs == (0, 1, 1, 2, 5, 14)
-
-
-def test_revert_roundtrip_random():
-    rng = random.Random(20260822)
-    x = TruncatedSeries([0, 1], 8)
-    for _ in range(50):
-        f = TruncatedSeries(
-            [0, rng.choice([1, -1])] + [rng.randrange(-3, 4) for _ in range(6)]
-        )
-        g = series_revert(f)
-        assert series_compose(f, g) == x
-        assert series_compose(g, f) == x
 
 
 def test_catalan_series():
@@ -133,19 +97,30 @@ def test_riordan_inverse_of_catalan_kernel():
     assert inv.f.coeffs == (0,) + c.coeffs[:-1]
 
 
+# per coefficient ring: the invertible constant choices, then a random
+# coefficient
+_RIORDAN_DRAWS = [
+    ([1, -1], lambda rng: rng.randrange(-3, 4)),
+    (
+        [Fraction(1), Fraction(-2), Fraction(3, 2)],
+        lambda rng: Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)),
+    ),
+    ([1, -1], lambda rng: QPoly.make([rng.randrange(-2, 3) for _ in range(2)])),
+]
+
+
 def test_riordan_group_identity_random():
-    rng = random.Random(7)
-    for _ in range(30):
-        n = 7
-        g = TruncatedSeries(
-            [rng.choice([1, -1])] + [rng.randrange(-3, 4) for _ in range(n - 1)]
-        )
-        f = TruncatedSeries(
-            [0, rng.choice([1, -1])] + [rng.randrange(-3, 4) for _ in range(n - 2)]
-        )
-        p = RiordanPair(g, f)
-        product = tmul(riordan_matrix(p, n), riordan_matrix(riordan_inverse(p), n))
-        assert product == Triangle.identity(n)
+    for units, coeff in _RIORDAN_DRAWS:
+        rng = random.Random(7)
+        for _ in range(30):
+            n = 7
+            g = [rng.choice(units)] + [coeff(rng) for _ in range(n - 1)]
+            f = [0, rng.choice(units)] + [coeff(rng) for _ in range(n - 2)]
+            p = RiordanPair(TruncatedSeries(g), TruncatedSeries(f))
+            inv = riordan_inverse(p)
+            product = tmul(riordan_matrix(p, n), riordan_matrix(inv, n))
+            assert product == Triangle.identity(n)
+            assert riordan_inverse(inv) == p
 
 
 def test_interleave_identity():

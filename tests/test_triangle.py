@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfmoments.ring import ExactDivisionError, QPoly, q
+from cfmoments.ring import ExactDivisionError, QPoly, QRat, q
 from cfmoments.triangle import (
     ProductionMatrix,
     Triangle,
@@ -90,17 +90,41 @@ def test_invert_zero_diagonal():
         invert(Triangle([[1], [1, 0]]))
 
 
+def _zq(rng):
+    return QPoly.make([rng.randrange(-2, 3) for _ in range(rng.randrange(1, 3))])
+
+
+# per scalar type: a random entry, the nonzero superdiagonal choices (a
+# non-unit one lifts the inverse inside production_of to the fraction
+# field) and the number of draws
+_PRODUCTION_DRAWS = [
+    (lambda rng: rng.randrange(-4, 5), [1, 1, 1, -1, 2], 100),
+    (
+        lambda rng: Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)),
+        [Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-3, 2)],
+        20,
+    ),
+    (_zq, [1, -1, q, 1 + q, 2 - q], 20),
+    (
+        lambda rng: QRat.make(_zq(rng), rng.choice([1 + q, 2 - q, q])),
+        [1, q, QRat.make(1, 1 + q), QRat.make(q, 2 - q)],
+        20,
+    ),
+]
+
+
 def test_production_of_inverts_generate_random():
-    rng = random.Random(20260822)
-    for _ in range(100):
-        n = rng.randrange(2, 7)
-        rows = []
-        for i in range(n - 1):
-            row = [rng.randrange(-4, 5) for _ in range(i + 1)]
-            row.append(rng.choice([1, 1, 1, -1, 2]))
-            rows.append(row)
-        P = ProductionMatrix(rows)
-        assert production_of(generate(P, n)) == P
+    for entry, superdiagonal, draws in _PRODUCTION_DRAWS:
+        rng = random.Random(20260822)
+        for _ in range(draws):
+            n = rng.randrange(2, 7)
+            rows = []
+            for i in range(n - 1):
+                row = [entry(rng) for _ in range(i + 1)]
+                row.append(rng.choice(superdiagonal))
+                rows.append(row)
+            P = ProductionMatrix(rows)
+            assert production_of(generate(P, n)) == P
 
 
 def test_generate_inverts_production_of_random():
