@@ -291,10 +291,27 @@ class _PreconditionError(ValueError):
 
 _WHAT_ORDER = ("N", "M", "C", "prodN", "prodM", "prodCinv")
 
+# Upper bounds on --size and --count, one per subcommand option.  The work
+# grows like the fourth power or faster, so each bound is the largest value
+# whose slowest familiar input ran in under about 10 s on a 2-core host
+# (Python 3.11): gen and verify on the q-powers, moments and hankel on the
+# q-powers, riordan --inverse on a pair with fractional coefficients.
+_MAX_GEN_SIZE = 15
+_MAX_MOMENTS_COUNT = 120
+_MAX_HANKEL_COUNT = 14
+_MAX_RIORDAN_SIZE = 120
+_MAX_VERIFY_SIZE = 15
+
+
+def _at_most(option: str, value: int, limit: int):
+    if value > limit:
+        raise _UsageError(f"{option} must be at most {limit}")
+
 
 def _cmd_gen(args):
     if args.size < 2:
         raise _UsageError("--size must be at least 2")
+    _at_most("--size", args.size, _MAX_GEN_SIZE)
     terms = parse_spec(args.spec).terms(2 * args.size)
     if terms[0] != 1:
         raise _PreconditionError("first coefficient must be 1")
@@ -320,6 +337,7 @@ def _cmd_gen(args):
 def _cmd_moments(args):
     if args.count < 1:
         raise _UsageError("--count must be positive")
+    _at_most("--count", args.count, _MAX_MOMENTS_COUNT)
     terms = parse_spec(args.spec).terms(max(args.count - 1, 0))
     mu = moments_from_sfraction(SFractionCoeffs(terms), args.count)
     return _format_values(mu, args.format), 0, None
@@ -328,6 +346,7 @@ def _cmd_moments(args):
 def _cmd_hankel(args):
     if args.count < 1:
         raise _UsageError("--count must be positive")
+    _at_most("--count", args.count, _MAX_HANKEL_COUNT)
     terms = parse_spec(args.spec).terms(2 * (args.count - 1))
     s = SFractionCoeffs(terms)
     results = {}
@@ -386,6 +405,7 @@ def _rational_coeffs(text: str):
 def _cmd_riordan(args):
     if args.size < 1:
         raise _UsageError("--size must be positive")
+    _at_most("--size", args.size, _MAX_RIORDAN_SIZE)
     order = max(args.size, 2)
     gn, gd = _rational_coeffs(args.g)
     fn, fd = _rational_coeffs(args.f)
@@ -404,6 +424,7 @@ def _cmd_riordan(args):
 def _cmd_verify(args):
     if args.q is not None and args.q_symbolic:
         raise _UsageError("--q and --q-symbolic are mutually exclusive")
+    _at_most("--size", args.size, _MAX_VERIFY_SIZE)
     try:
         rep = verify_example(args.example, args.size, q_value=args.q)
     except ValueError as e:

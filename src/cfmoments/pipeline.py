@@ -28,7 +28,18 @@ from .cfrac import (
     s_to_j,
     two_power_chain_coeff,
 )
-from .ring import ExactDivisionError, QPoly, eval_q, exact_div, q, render
+from .ring import (
+    ExactDivisionError,
+    QPoly,
+    _as_zq_pair,
+    _zq_exact_div,
+    _zq_gcd,
+    eval_q,
+    exact_div,
+    field_div,
+    q,
+    render,
+)
 from .series import (
     RiordanPair,
     TruncatedSeries,
@@ -214,6 +225,13 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
     moments; disagreement signals a bug and raises.  ``prodN`` and
     ``prodM`` are the builders' own production matrices: a unit-diagonal
     triangle has only one, so the route agreements on N and M certify them.
+
+    Field input (a Fraction or QRat among the 2n terms) runs over Z or
+    Z[q]: every output is homogeneous in the a_i (Flajolet 1980), so the
+    constructions take b_i = D a_i, D the common denominator, and entry
+    (i, j) of a triangle, entry (t, j) of a production matrix and mu_k
+    are divided once by D^(i-j), D^(t+1-j) and D^k.  The diagnostics are
+    the ring run's.
     """
     if n < 2:
         raise ValueError("size must be at least 2")
@@ -223,6 +241,35 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
         )
     if a.terms[0] != 1:
         raise ValueError("first coefficient must be 1")
+    terms = a.terms[: 2 * n]
+    if all(type(t) in (int, QPoly) for t in terms):
+        return _compare_ring(a, n)
+    pairs = [_as_zq_pair(t) for t in terms]
+    D = 1
+    for _, den in pairs:
+        D = _zq_exact_div(D * den, _zq_gcd(D, den))
+    r = _compare_ring(SFractionCoeffs([num * _zq_exact_div(D, den) for num, den in pairs]), n)
+    powers = [1]
+    for _ in range(1, n):
+        powers.append(powers[-1] * D)
+
+    def unscale(m, shift):
+        # entry (i, j) has degree i + shift - j; degree 0 is left alone
+        rows = []
+        for i, row in enumerate(m.rows):
+            e = i + shift
+            rows.append([v if e == j else field_div(v, powers[e - j]) for j, v in enumerate(row)])
+        return type(m)(rows)
+
+    mu = [v if k == 0 else field_div(v, powers[k]) for k, v in enumerate(r.mu)]
+    N, M, Ninv, C = (unscale(m, 0) for m in (r.N, r.M, r.Ninv, r.C))
+    prodN, prodM, prodCinv = (unscale(m, 1) for m in (r.prodN, r.prodM, r.prodCinv))
+    return ComparisonResult(a, mu, N, M, Ninv, C, prodN, prodM, prodCinv, r.diagnostics)
+
+
+def _compare_ring(a: SFractionCoeffs, n: int) -> ComparisonResult:
+    """``compare`` after its precondition checks, in the ring of the
+    terms; a_1 is not checked, so a scaled b_1 = D passes."""
     h = hankel_from_sfraction(a, n)
     if 0 in h:
         raise CatalanLikenessError(h.index(0))

@@ -80,7 +80,8 @@ def series_from_rational(numer, denom, order: int) -> TruncatedSeries:
     den = (list(denom) + [0] * order)[:order]
     if not denom or den[0] == 0:
         raise ZeroDivisionError("denominator has no constant term")
-    inv0 = 1 if den[0] == 1 else field_div(1, den[0])
+    d = den[0]
+    inv0 = 1 if d == 1 else (-1 if d == -1 else field_div(1, d))
     out = []
     for k in range(order):
         acc = num[k]

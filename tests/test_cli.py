@@ -122,6 +122,23 @@ def test_exit_two_usage(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["gen", "--spec", "qpow", "--size", "16"], "--size must be at most 15"),
+        (["moments", "--spec", "qpow", "--count", "121"], "--count must be at most 120"),
+        (["hankel", "--spec", "qpow", "--count", "10000000"], "--count must be at most 14"),
+        (["riordan", "--g", "1", "--f", "x", "--size", "121"], "--size must be at most 120"),
+        (["verify", "--example", "qcase", "--size", "16"], "--size must be at most 15"),
+    ],
+)
+def test_size_and_count_above_budget_are_usage_errors(argv, limit, capsys):
+    # refused before any work: a huge value returns as fast as limit + 1
+    rc, out, err = _run(argv, capsys)
+    assert rc == 2 and out == ""
+    assert err == f"usage-error: {limit}\n"
+
+
+@pytest.mark.parametrize(
     "spec, offset",
     [
         ("lit:q^99999999", 5),

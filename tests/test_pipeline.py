@@ -12,6 +12,7 @@ from cfmoments.cfrac import (
 )
 from cfmoments.pipeline import (
     CatalanLikenessError,
+    _compare_ring,
     _discrepancy_check,
     build_M,
     build_N_via_behead,
@@ -23,7 +24,7 @@ from cfmoments.pipeline import (
     schroder_structure_checks,
     verify_example,
 )
-from cfmoments.ring import QPoly, QRat, eval_q, q
+from cfmoments.ring import ExactDivisionError, QPoly, QRat, eval_q, q, render
 from cfmoments.series import RiordanPair, TruncatedSeries, catalan_series, riordan_matrix
 from cfmoments.triangle import Triangle, invert, mul, production_of
 
@@ -166,7 +167,7 @@ def test_compare_product_is_inverse_times_second():
     assert production_of(invert(r.C)) == r.prodCinv
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_compare_over_rational_functions_routes_agree(n):
     rng = random.Random(n)
     terms = [
@@ -182,6 +183,119 @@ def test_compare_over_rational_functions_routes_agree(n):
     assert mul(r.N, r.C) == r.M
     assert r.prodN == production_of(r.N)
     assert r.prodM == production_of(r.M)
+
+
+# --- the graded route: field input run over Z or Z[q] ---
+#
+# The oracle is the ring body run directly on the unscaled field terms,
+# which computes every entry in the field.
+
+_RESULT_PARTS = ("mu", "N", "M", "Ninv", "C", "prodN", "prodM", "prodCinv")
+
+
+def _rendered(r):
+    out = {"mu": [render(v) for v in r.mu], "diagnostics": r.diagnostics}
+    for name in _RESULT_PARTS[1:]:
+        out[name] = [[render(v) for v in row] for row in getattr(r, name).rows]
+    return out
+
+
+def _assert_graded_matches_field_route(terms, n):
+    a = SFractionCoeffs(terms)
+    graded, oracle = compare(a, n), _compare_ring(a, n)
+    assert graded.a is a
+    for name in _RESULT_PARTS + ("diagnostics",):
+        assert getattr(graded, name) == getattr(oracle, name), name
+    assert _rendered(graded) == _rendered(oracle)
+    assert all(ok for _, ok in graded.diagnostics)
+
+
+_QQ_DENOMINATORS = (1 - q, 1 + 2 * q, 1 + 3 * q, 3)
+
+
+def _qq_term(rng):
+    return QRat.make(rng.randrange(1, 4) + q ** rng.randrange(1, 3), rng.choice(_QQ_DENOMINATORS))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_graded_compare_over_fractions(n):
+    rng = random.Random(100 + n)
+    for _ in range(3):
+        terms = [1] + [
+            Fraction(rng.choice([-3, -1, 1, 2, 5, 7]), rng.randrange(1, 7))
+            for _ in range(2 * n - 1)
+        ]
+        _assert_graded_matches_field_route(terms, n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_graded_compare_over_rational_functions(n):
+    rng = random.Random(200 + n)
+    for _ in range(2):
+        _assert_graded_matches_field_route([1] + [_qq_term(rng) for _ in range(2 * n - 1)], n)
+
+
+def _assert_graded_matches_independent_routes(terms, n):
+    a = SFractionCoeffs(terms)
+    r = compare(a, n)
+    assert all(ok for _, ok in r.diagnostics)
+    assert r.mu == moments_from_jfraction(s_to_j(a), n)
+    assert mul(r.N, r.C) == r.M and r.Ninv == invert(r.N)
+    assert r.prodN == production_of(r.N) and r.prodM == production_of(r.M)
+    assert r.prodCinv == production_of(invert(r.C))
+
+
+_MIXED_TERMS = (Fraction(2, 3), Fraction(-5, 2), 2, q, 1 + q, 2 * q**2 - 1)
+
+
+def test_graded_compare_fractions_beside_polynomials():
+    # int denominators around Z[q] numerators: the scaled run is over Z[q]
+    rng = random.Random(300)
+    for n in range(2, 9):
+        terms = [1] + [rng.choice(_MIXED_TERMS) for _ in range(2 * n - 1)]
+        try:
+            _compare_ring(SFractionCoeffs(terms), n)
+        except ExactDivisionError:
+            # the field route's rescale divides two Z[q] values whose
+            # quotient has a rational coefficient, and exact_div refuses
+            _assert_graded_matches_independent_routes(terms, n)
+        else:
+            _assert_graded_matches_field_route(terms, n)
+
+
+def test_graded_compare_divides_only_where_the_ring_divides():
+    # the field route raised ExactDivisionError here: an entry of the
+    # rescale route, 25 + 9q + 2q^2, met the column divisor 2 in Z[q]
+    h, f = Fraction(-5, 2), Fraction(2, 3)
+    terms = [1, 2, 1 + q, h, 2 * q**2 - 1, h, f, 1 + q, 1 + q, 1 + q]
+    _assert_graded_matches_independent_routes(terms, 5)
+
+
+def test_graded_compare_integral_fractions():
+    # D = 1: the ring run sees the plain integers
+    rng = random.Random(400)
+    for n in range(2, 9):
+        terms = [Fraction(1)] + [Fraction(rng.randrange(1, 4)) for _ in range(2 * n - 1)]
+        _assert_graded_matches_field_route(terms, n)
+
+
+def _fraction_term(rng):
+    return Fraction(rng.randrange(1, 5), rng.randrange(2, 5))
+
+
+@pytest.mark.parametrize("draw, zero", [(_fraction_term, Fraction(0)), (_qq_term, 0)])
+def test_graded_compare_reports_the_first_vanishing_order(draw, zero):
+    rng = random.Random(500)
+    n = 5
+    for i in range(2, 2 * n - 1):  # a zero at a_i, 1-based
+        terms = [1] + [draw(rng) for _ in range(2 * n - 1)]
+        terms[i - 1] = zero
+        a = SFractionCoeffs(terms)
+        with pytest.raises(CatalanLikenessError) as graded:
+            compare(a, n)
+        with pytest.raises(CatalanLikenessError) as oracle:
+            _compare_ring(a, n)
+        assert graded.value.order == oracle.value.order == (i + 1) // 2
 
 
 def test_compare_smallest_size():

@@ -97,6 +97,22 @@ def test_riordan_inverse_of_catalan_kernel():
     assert inv.f.coeffs == (0,) + c.coeffs[:-1]
 
 
+def test_riordan_inverse_keeps_int_pairs_in_the_integers():
+    # g(0) = -1 and f'(0) = -1: both inversion steps divide by -1, which
+    # stays in the integers like the +1 case
+    n = 7
+    p = RiordanPair(
+        series_from_rational([-1], [1, -1], n), series_from_rational([0, -1, 2], [1, 1], n)
+    )
+    inv = riordan_inverse(p)
+    assert all(type(c) is int for c in inv.g.coeffs + inv.f.coeffs)
+    assert all(type(v) is int for row in riordan_matrix(inv, n).rows for v in row)
+    assert tmul(riordan_matrix(p, n), riordan_matrix(inv, n)) == Triangle.identity(n)
+    s = series_from_rational([3, 1], [-1, 2], n)
+    assert s.coeffs == (-3, -7, -14, -28, -56, -112, -224)
+    assert all(type(c) is int for c in s.coeffs)
+
+
 # per coefficient ring: the invertible constant choices, then a random
 # coefficient
 _RIORDAN_DRAWS = [
