@@ -49,8 +49,10 @@ def main():
     print("  both parameterizations agree on 7 moments: checked")
     print()
 
-    # Hankel determinants once by Bareiss elimination, once as a product
-    # of coefficient pairs; they must match for any positive sequence
+    # Hankel determinants once from the moments by the fraction-free
+    # three-term recurrence (Bareiss elimination only when a leading minor
+    # vanishes; O(n^2)), once as a product of coefficient pairs; they must
+    # match for any positive sequence
     rng = random.Random(7)
     a = SFractionCoeffs([rng.randrange(1, 5) for _ in range(8)])
     mu = moments_from_sfraction(a, 9)

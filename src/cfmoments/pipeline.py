@@ -32,6 +32,7 @@ from .ring import (
     ExactDivisionError,
     QPoly,
     _as_zq_pair,
+    _in_zq,
     _zq_exact_div,
     _zq_gcd,
     eval_q,
@@ -105,7 +106,9 @@ def build_N_via_behead(a: SFractionCoeffs, n: int) -> tuple[Triangle, Production
 def build_N_via_rescale(a: SFractionCoeffs, n: int) -> Triangle:
     """Second construction: generate from the staircase production
     matrix whose row i is filled with a_{i+1}, then divide column k by
-    the product a_1 ... a_k.  The division is exact.  Takes n >= 2."""
+    the product a_1 ... a_k.  The division is exact: in Z or Z[q], or in
+    the fraction field once a Fraction or QRat is among the terms (the
+    quotient may then have rational coefficients).  Takes n >= 2."""
     if n < 2:
         raise ValueError("size must be at least 2")
     if len(a.terms) < n:
@@ -118,7 +121,9 @@ def build_N_via_rescale(a: SFractionCoeffs, n: int) -> Triangle:
     divisors = [1]
     for k in range(1, n):
         divisors.append(divisors[-1] * a.terms[k - 1])
-    return rescale_columns(scaled, divisors)
+    if _in_zq(a.terms[: n - 1]):
+        return rescale_columns(scaled, divisors)
+    return Triangle([[field_div(v, divisors[j]) for j, v in enumerate(r)] for r in scaled.rows])
 
 
 def op_coeff_triangle(j: JFractionCoeffs, n: int) -> Triangle:
@@ -221,8 +226,10 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
     Requires a_1 = 1, at least 2n coefficients, and nonvanishing leading
     Hankel determinants h_0 .. h_{n-1}, taken from the product formula
     (raises CatalanLikenessError at the first zero).  The last
-    determinant is also computed by one fraction-free elimination of the
-    moments; disagreement signals a bug and raises.  ``prodN`` and
+    determinant is also computed from the moments alone, by the
+    fraction-free three-term recurrence (Bareiss elimination only when a
+    leading minor vanishes), in O(n^2) ring operations; disagreement
+    signals a bug and raises.  ``prodN`` and
     ``prodM`` are the builders' own production matrices: a unit-diagonal
     triangle has only one, so the route agreements on N and M certify them.
 
@@ -242,7 +249,7 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
     if a.terms[0] != 1:
         raise ValueError("first coefficient must be 1")
     terms = a.terms[: 2 * n]
-    if all(type(t) in (int, QPoly) for t in terms):
+    if _in_zq(terms):
         return _compare_ring(a, n)
     pairs = [_as_zq_pair(t) for t in terms]
     D = 1
@@ -765,9 +772,10 @@ def _diagnostic_checks(result: ComparisonResult) -> list:
 
 
 def _hankel_and_qd_checks(a, mu_long, n, hankel_name, closed_form, qd_name) -> list:
-    """The Hankel determinants by elimination, by the product formula and
-    in closed form agree, and the qd scheme takes the moments back to the
-    coefficients."""
+    """The Hankel determinants from the moments (the fraction-free
+    three-term recurrence, with Bareiss elimination only when a leading
+    minor vanishes; O(n^2)), by the product formula and in closed form
+    agree, and the qd scheme takes the moments back to the coefficients."""
 
     def qd_round_trip():
         back = qd_sfraction_from_moments(mu_long).terms

@@ -404,6 +404,13 @@ def is_scalar(x) -> bool:
     return type(x) in _SCALAR_TYPES
 
 
+def _in_zq(values) -> bool:
+    """True when every value is an int or a QPoly.  Then exact_div divides
+    in Z or Z[q]; with a Fraction or QRat among them, two Z[q] values may
+    have a quotient with rational coefficients, and only field_div finds it."""
+    return all(type(v) in (int, QPoly) for v in values)
+
+
 def _require_scalar(x):
     if not is_scalar(x):
         raise TypeError(f"incompatible ring value: {x!r}")

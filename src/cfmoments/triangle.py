@@ -1,7 +1,10 @@
 """Lower-triangular matrices and almost-lower-Hessenberg production
 matrices, with the operations the moment constructions are built from:
 generation from a production matrix, beheading, inversion, recovery of
-the production matrix, column rescaling and Hankel determinants.
+the production matrix, column rescaling and Hankel determinants.  The
+Hankel determinants come from the fraction-free three-term recurrence
+in O(n^2) ring operations, with Bareiss elimination only when a leading
+minor vanishes.
 
 Everything is exact; entries are ring scalars and all divisions either
 stay in the ring or raise.
@@ -9,7 +12,7 @@ stay in the ring or raise.
 
 from __future__ import annotations
 
-from .ring import exact_div, field_div, is_scalar
+from .ring import _in_zq, exact_div, field_div, is_scalar
 
 __all__ = [
     "Triangle",
@@ -202,7 +205,8 @@ def rescale_columns(T: Triangle, scale) -> Triangle:
 
 def _bareiss_det(m):
     """Fraction-free determinant of a square matrix given as lists; every
-    interior division is exact in the entries' ring."""
+    interior division is exact, in Z or Z[q] or else in the fraction field."""
+    div = exact_div if all(_in_zq(r) for r in m) else field_div
     n = len(m)
     sign = 1
     prev = 1
@@ -217,23 +221,54 @@ def _bareiss_det(m):
                 return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = exact_div(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
+                m[i][j] = div(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
             m[i][k] = 0
         prev = m[k][k]
     v = m[n - 1][n - 1]
     return -v if sign < 0 else v
 
 
+def _hankel_pivots(mu, n):
+    """h_0 .. h_n by the fraction-free three-term recurrence, or None when
+    some h_k with k < n is zero.
+
+    nu[j] holds det(rows 0..k-1 and j, cols 0..k) of (mu[r + c]), so
+    nu[k] = h_k; prev is the same row for k - 1.  Every division is exact
+    because each quotient is a minor, so over Z and Z[q] a wrong step
+    raises.  O(n^2) ring operations.
+    """
+    prev, nu, hp = [0] * (2 * n + 1), list(mu[: 2 * n + 1]), 1
+    div = exact_div if _in_zq(nu) else field_div
+    pivots = []
+    for k in range(n):
+        h = nu[k]
+        if h == 0:
+            return None
+        pivots.append(h)
+        nk1, pk = nu[k + 1], prev[k]
+        nxt = [0] * (2 * n + 1)
+        for j in range(k + 1, 2 * n - k):
+            # b = det(rows 0..k-2, k and j, cols 0..k)
+            b = div(pk * nu[j] - h * prev[j], hp)
+            nxt[j] = div(h * (nu[j + 1] + b) - nk1 * nu[j], hp)
+        prev, nu, hp = nu, nxt, h
+    pivots.append(nu[n])
+    return pivots
+
+
 def hankel_det(mu, n: int):
     """Determinant of the (n+1) x (n+1) matrix with entry (i, j) equal to
-    mu[i + j]."""
+    mu[i + j]: the fraction-free three-term recurrence, with Bareiss
+    elimination only when a leading minor vanishes."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     if len(mu) < 2 * n + 1:
         raise ValueError(f"need {2 * n + 1} moments for order {n}, got {len(mu)}")
-    m = [[mu[i + j] for j in range(n + 1)] for i in range(n + 1)]
-    _check_entries(m)
-    return _bareiss_det(m)
+    _check_entries([mu[: 2 * n + 1]])
+    pivots = _hankel_pivots(mu, n)
+    if pivots is not None:
+        return pivots[n]
+    return _bareiss_det([[mu[i + j] for j in range(n + 1)] for i in range(n + 1)])
 
 
 def hankel_transform(mu, count: int):
@@ -242,5 +277,8 @@ def hankel_transform(mu, count: int):
         raise ValueError("count must be positive")
     if len(mu) < 2 * (count - 1) + 1:
         raise ValueError(f"need {2 * (count - 1) + 1} moments, got {len(mu)}")
+    _check_entries([mu[: 2 * count - 1]])
+    pivots = _hankel_pivots(mu, count - 1)
+    if pivots is not None:
+        return pivots
     return [hankel_det(mu, k) for k in range(count)]
-

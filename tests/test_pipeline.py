@@ -24,7 +24,7 @@ from cfmoments.pipeline import (
     schroder_structure_checks,
     verify_example,
 )
-from cfmoments.ring import ExactDivisionError, QPoly, QRat, eval_q, q, render
+from cfmoments.ring import QPoly, QRat, eval_q, q, render
 from cfmoments.series import RiordanPair, TruncatedSeries, catalan_series, riordan_matrix
 from cfmoments.triangle import Triangle, invert, mul, production_of
 
@@ -250,25 +250,29 @@ _MIXED_TERMS = (Fraction(2, 3), Fraction(-5, 2), 2, q, 1 + q, 2 * q**2 - 1)
 
 def test_graded_compare_fractions_beside_polynomials():
     # int denominators around Z[q] numerators: the scaled run is over Z[q]
+    # the field route divides two Z[q] values whose quotient may have a
+    # rational coefficient, in the rescale route and in the Hankel gate
     rng = random.Random(300)
     for n in range(2, 9):
         terms = [1] + [rng.choice(_MIXED_TERMS) for _ in range(2 * n - 1)]
-        try:
-            _compare_ring(SFractionCoeffs(terms), n)
-        except ExactDivisionError:
-            # the field route's rescale divides two Z[q] values whose
-            # quotient has a rational coefficient, and exact_div refuses
-            _assert_graded_matches_independent_routes(terms, n)
-        else:
-            _assert_graded_matches_field_route(terms, n)
+        _assert_graded_matches_field_route(terms, n)
+        _assert_graded_matches_independent_routes(terms, n)
 
 
 def test_graded_compare_divides_only_where_the_ring_divides():
-    # the field route raised ExactDivisionError here: an entry of the
-    # rescale route, 25 + 9q + 2q^2, met the column divisor 2 in Z[q]
+    # an entry of the rescale route, 25 + 9q + 2q^2, meets the column
+    # divisor 2 in Z[q]; the quotient lies in Q[q] only
     h, f = Fraction(-5, 2), Fraction(2, 3)
     terms = [1, 2, 1 + q, h, 2 * q**2 - 1, h, f, 1 + q, 1 + q, 1 + q]
+    _assert_graded_matches_field_route(terms, 5)
     _assert_graded_matches_independent_routes(terms, 5)
+
+
+def test_rescale_route_divides_in_the_field_for_field_terms():
+    # 25 + 9q + 2q^2 met the column divisor 2 in Z[q] and raised
+    h = Fraction(-5, 2)
+    a = SFractionCoeffs([1, 2, 1 + q, h, 2 * q**2 - 1, h, 2, 1 + q, 1 + q, 1 + q])
+    assert build_N_via_rescale(a, 5) == build_N_via_behead(a, 5)[0]
 
 
 def test_graded_compare_integral_fractions():

@@ -1,11 +1,15 @@
 """Triangles and production matrices: generate, invert, behead, recover,
 rescale, Hankel determinants."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
+from cfmoments import triangle
+from cfmoments.cfrac import SFractionCoeffs, hankel_from_sfraction, moments_from_sfraction
+from cfmoments.pipeline import compare
 from cfmoments.ring import ExactDivisionError, QPoly, QRat, q
 from cfmoments.triangle import (
     ProductionMatrix,
@@ -178,15 +182,20 @@ def test_rescale_columns_poly_divisors():
 
 
 def _cofactor_det(m):
+    """Laplace expansion along the rows, memoised on the unused columns."""
     n = len(m)
-    if n == 1:
-        return m[0][0]
-    tot = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in m[1:]]
-        term = m[0][j] * _cofactor_det(minor)
-        tot = tot + term if j % 2 == 0 else tot - term
-    return tot
+
+    @functools.lru_cache(maxsize=None)
+    def minor(r, cols):
+        if r == n:
+            return 1
+        tot = 0
+        for pos, j in enumerate(cols):
+            term = m[r][j] * minor(r + 1, cols[:pos] + cols[pos + 1 :])
+            tot = tot + term if pos % 2 == 0 else tot - term
+        return tot
+
+    return minor(0, tuple(range(n)))
 
 
 def test_hankel_det_examples():
@@ -202,25 +211,99 @@ def test_hankel_det_poly_moments():
     assert hankel_det(mu, 1) == q
 
 
+def _int_entry(rng):
+    return rng.randrange(-6, 7)
+
+
+def _fraction_entry(rng):
+    return Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
+
+
+def _poly_entry(rng):
+    return QPoly.make([rng.randrange(-2, 3) for _ in range(rng.randrange(1, 3))])
+
+
+def _qq_entry(rng):
+    return QRat.make(_poly_entry(rng), rng.choice([1 - q, 1 + 2 * q, 3]))
+
+
+def _assert_matches_cofactor(draw, seed, per_order):
+    # orders 0..6; small entries make some leading minors vanish, so both
+    # the recurrence and its Bareiss fallback meet the oracle
+    rng = random.Random(seed)
+    for n in range(7):
+        for _ in range(per_order):
+            mu = [draw(rng) for _ in range(2 * n + 1)]
+            dets = [
+                _cofactor_det([[mu[i + j] for j in range(k + 1)] for i in range(k + 1)])
+                for k in range(n + 1)
+            ]
+            assert hankel_det(mu, n) == dets[n]
+            assert hankel_transform(mu, n + 1) == dets
+
+
 def test_hankel_det_matches_cofactor_random():
-    rng = random.Random(31)
-    for _ in range(100):
-        n = rng.randrange(0, 4)
-        mu = [rng.randrange(-6, 7) for _ in range(2 * n + 1)]
-        m = [[mu[i + j] for j in range(n + 1)] for i in range(n + 1)]
-        assert hankel_det(mu, n) == _cofactor_det(m)
+    _assert_matches_cofactor(_int_entry, 31, 16)
+
+
+def test_hankel_det_matches_cofactor_fraction_random():
+    _assert_matches_cofactor(_fraction_entry, 33, 8)
 
 
 def test_hankel_det_matches_cofactor_poly_random():
-    rng = random.Random(32)
-    for _ in range(50):
-        n = rng.randrange(0, 4)
-        mu = [
-            QPoly.make([rng.randrange(-2, 3) for _ in range(rng.randrange(1, 3))])
-            for _ in range(2 * n + 1)
-        ]
-        m = [[mu[i + j] for j in range(n + 1)] for i in range(n + 1)]
-        assert hankel_det(mu, n) == _cofactor_det(m)
+    _assert_matches_cofactor(_poly_entry, 32, 8)
+
+
+def test_hankel_det_matches_cofactor_qq_random():
+    _assert_matches_cofactor(_qq_entry, 34, 3)
+
+
+def _count_bareiss_calls(monkeypatch):
+    calls = []
+    real = triangle._bareiss_det
+
+    def spy(m):
+        calls.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(triangle, "_bareiss_det", spy)
+    return calls
+
+
+def test_hankel_falls_back_to_elimination_on_a_vanishing_leading_minor(monkeypatch):
+    calls = _count_bareiss_calls(monkeypatch)
+    assert hankel_det([0, 1, 0], 1) == -1
+    assert hankel_det([1, 1, 1, 2, 3], 2) == -1
+    assert hankel_transform([1, 1, 1, 2, 3], 3) == [1, 0, -1]
+    assert calls == [2, 3, 3]
+
+
+def test_hankel_recurrence_needs_no_elimination(monkeypatch):
+    calls = _count_bareiss_calls(monkeypatch)
+    assert hankel_transform([1, 1, 2, 5, 14, 42, 132], 4) == [1, 1, 1, 1]
+    assert hankel_det([1, 4, 32], 1) == 16
+    assert calls == []
+
+
+def test_elimination_divides_in_the_field_for_mixed_entries():
+    # Fraction and Z[q] moments: a fraction-free step divides two Z[q]
+    # values whose quotient has a rational coefficient
+    h, r = Fraction(-5, 2), 2 * q**2 - 1
+    a = SFractionCoeffs([1, 2, 1 + q, h, 1 + q, r, r, q, r, Fraction(2, 3)])
+    mu = moments_from_sfraction(a, 9)
+    m = [[mu[i + j] for j in range(5)] for i in range(5)]
+    assert triangle._bareiss_det(m) == hankel_det(mu, 4) == hankel_from_sfraction(a, 5)[-1]
+
+
+def test_compare_never_eliminates(monkeypatch):
+    def refuse(m):
+        raise AssertionError("compare reached the Bareiss fallback")
+
+    monkeypatch.setattr(triangle, "_bareiss_det", refuse)
+    rng = random.Random(35)
+    n = 20
+    a = SFractionCoeffs([1] + [rng.randrange(1, 4) for _ in range(2 * n - 1)])
+    assert all(ok for _, ok in compare(a, n).diagnostics)
 
 
 def test_hankel_preconditions():
