@@ -11,7 +11,7 @@ carries one more b than l.
 
 from __future__ import annotations
 
-from .ring import field_div, is_scalar
+from .ring import _check_scalars, field_div
 
 __all__ = [
     "SFractionCoeffs",
@@ -43,12 +43,6 @@ class QDBreakdownError(ArithmeticError):
         self.depth = depth
 
 
-def _check_terms(terms, what):
-    for v in terms:
-        if not is_scalar(v):
-            raise TypeError(f"{what} coefficient is not a ring scalar: {v!r}")
-
-
 class SFractionCoeffs:
     """Coefficients a1, a2, ... of the one-parameter form, stored with
     a1 at index 0 of ``terms``."""
@@ -57,7 +51,7 @@ class SFractionCoeffs:
 
     def __init__(self, terms):
         ts = tuple(terms)
-        _check_terms(ts, "fraction")
+        _check_scalars(ts, "fraction coefficient")
         self.terms = ts
 
     def __len__(self):
@@ -80,8 +74,7 @@ class JFractionCoeffs:
 
     def __init__(self, b, lam):
         bs, ls = tuple(b), tuple(lam)
-        _check_terms(bs, "fraction")
-        _check_terms(ls, "fraction")
+        _check_scalars(bs + ls, "fraction coefficient")
         if len(bs) != len(ls) + 1:
             raise ValueError(
                 f"need exactly one more b than l, got {len(bs)} and {len(ls)}"
@@ -191,10 +184,14 @@ def qd_sfraction_from_moments(mu) -> SFractionCoeffs:
 
     Requires mu_0 = 1.  Raises QDBreakdownError when a needed divisor
     cell is zero; a zero coefficient at the very end of the output
-    signals a vanishing determinant at the boundary instead.
+    signals a vanishing determinant at the boundary instead.  The scheme
+    divides by shifted moments and their Hankel determinants, which is
+    more than the one-parameter form needs: 1, 1, 0, -1, -2 are the
+    moments of a = 1, -1, 1, 1 (Hankel determinants 1, -1, 1), yet
+    mu_2 = 0 stops the scheme at coefficient 3.
     """
     mu = list(mu)
-    _check_terms(mu, "moment")
+    _check_scalars(mu, "moment coefficient")
     if not mu:
         raise ValueError("empty moment list")
     if mu[0] != 1:
@@ -228,7 +225,8 @@ def qd_sfraction_from_moments(mu) -> SFractionCoeffs:
 def hankel_from_sfraction(s: SFractionCoeffs, count: int):
     """Hankel determinants h_0 .. h_{count-1} of the moment sequence,
     as products of the coefficients: h_n is the product over k < n of
-    (a_{2k+1} a_{2k+2})^(n-k)."""
+    (a_{2k+1} a_{2k+2})^(n-k) (Flajolet 1980).  Kept as running products,
+    h_{k+1} = h_k P_k with P_k = P_{k-1} a_{2k+1} a_{2k+2}."""
     if count < 1:
         raise ValueError("count must be positive")
     need = 2 * (count - 1)
@@ -236,13 +234,10 @@ def hankel_from_sfraction(s: SFractionCoeffs, count: int):
         raise InsufficientCoefficients(
             f"need {need} coefficients for {count} determinants, got {len(s.terms)}"
         )
-    out = [1]
-    for n in range(1, count):
-        h = 1
-        for k in range(n):
-            pair = s.terms[2 * k] * s.terms[2 * k + 1]
-            h = h * pair ** (n - k)
-        out.append(h)
+    out, p = [1], 1
+    for k in range(count - 1):
+        p = p * (s.terms[2 * k] * s.terms[2 * k + 1])
+        out.append(out[-1] * p)
     return out
 
 

@@ -567,20 +567,27 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _complain(prefix, reason):
+    """One stderr line, also when the reason quotes an argument holding a
+    line break (argparse's unrecognized arguments, an --out path)."""
+    reason = str(reason).replace("\r", "\\r").replace("\n", "\\n")
+    print(f"{prefix}: {reason}", file=sys.stderr)
+
+
 def run(argv) -> int:
     """Execute one command line; returns the exit status."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as e:
-        print(f"usage-error: {e}", file=sys.stderr)
+        _complain("usage-error", e)
         return 2
     except SystemExit as e:  # --help
         return 0 if e.code in (0, None) else 2
     try:
         text, code, complaint = _COMMANDS[args.command](args)
     except (_UsageError, SpecParseError, ScalarParseError) as e:
-        print(f"usage-error: {e}", file=sys.stderr)
+        _complain("usage-error", e)
         return 2
     except (
         _PreconditionError,
@@ -592,7 +599,7 @@ def run(argv) -> int:
         ZeroDivisionError,
         DigitLimitError,
     ) as e:
-        print(f"precondition-error: {e}", file=sys.stderr)
+        _complain("precondition-error", e)
         return 3
     if args.out:
         try:
@@ -600,7 +607,7 @@ def run(argv) -> int:
                 fh.write(text + "\n")
         except OSError as e:
             reason = e.strerror or e
-            print(f"usage-error: cannot write {args.out}: {reason}", file=sys.stderr)
+            _complain("usage-error", f"cannot write {args.out}: {reason}")
             return 2
     else:
         print(text)

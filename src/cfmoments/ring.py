@@ -2,11 +2,11 @@
 and quotients of such polynomials.
 
 A scalar's type is exactly ``int``, ``fractions.Fraction``, ``QPoly`` or
-``QRat``; bool and other subclasses are not scalars.  Values always live
-in the simplest type that can hold them exactly: constant polynomials
-demote to int, quotients reduce and demote when the denominator cancels.
-This keeps equality structural and renderings canonical.  No floating
-point is accepted anywhere.
+``QRat``; bool and other subclasses are not scalars.  Constant
+polynomials demote to int, and quotients reduce and demote when the
+denominator cancels.  A ``Fraction`` never demotes: ``field_div(4, 2)``
+is ``Fraction(2, 1)``, which renders as ``2`` and parses back as int 2.
+No floating point is accepted anywhere.
 """
 
 from __future__ import annotations
@@ -99,10 +99,6 @@ class QPoly:
         p.coeffs = tuple(cs)
         return p
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __add__(self, other):
         t = type(other)
         if t is int:
@@ -163,16 +159,6 @@ class QPoly:
             b = b * b
             n >>= 1
         return r
-
-    def __truediv__(self, other):
-        if is_scalar(other):
-            return QRat.make(self, other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if is_scalar(other):
-            return QRat.make(other, self)
-        return NotImplemented
 
     def __eq__(self, other):
         t = type(other)
@@ -254,21 +240,16 @@ def _zq_gcd(x, y):
 
 
 def _zq_exact_div(x, y):
-    """Exact division in the polynomial ring; raises when not divisible."""
-    xs = list(_zq_coeffs(x))
+    """Exact division in the polynomial ring by long division from the
+    top; whatever is left in xs is a remainder, and then it raises."""
+    xs = _strip(_zq_coeffs(x))
     ys = _strip(_zq_coeffs(y))
-    if not any(xs):
-        return 0
-    if len(_strip(xs)) < len(ys):
-        raise ExactDivisionError(f"{render(x)} not divisible by {render(y)}")
-    xs = _strip(xs)
     dy = len(ys) - 1
-    out = [0] * (len(xs) - dy)
+    out = [0] * max(len(xs) - dy, 0)
     for k in range(len(out) - 1, -1, -1):
-        c = xs[k + dy]
-        quot, rem = divmod(c, ys[-1])
+        quot, rem = divmod(xs[k + dy], ys[-1])
         if rem:
-            raise ExactDivisionError(f"{render(x)} not divisible by {render(y)}")
+            break
         out[k] = quot
         for j, yc in enumerate(ys):
             xs[k + j] -= quot * yc
@@ -342,16 +323,14 @@ class QRat:
         return r
 
     def __sub__(self, other):
-        p = _as_zq_pair(other)
-        if p is None:
-            return NotImplemented
-        return QRat.make(self.num * p[1] - p[0] * self.den, self.den * p[1])
+        if type(other) in _SCALAR_TYPES:
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        p = _as_zq_pair(other)
-        if p is None:
-            return NotImplemented
-        return QRat.make(p[0] * self.den - self.num * p[1], self.den * p[1])
+        if type(other) in _SCALAR_TYPES:
+            return (-self) + other
+        return NotImplemented
 
     def __mul__(self, other):
         p = _as_zq_pair(other)
@@ -360,18 +339,6 @@ class QRat:
         return QRat.make(self.num * p[0], self.den * p[1])
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        p = _as_zq_pair(other)
-        if p is None:
-            return NotImplemented
-        return QRat.make(self.num * p[1], self.den * p[0])
-
-    def __rtruediv__(self, other):
-        p = _as_zq_pair(other)
-        if p is None:
-            return NotImplemented
-        return QRat.make(p[0] * self.den, p[1] * self.num)
 
     def __pow__(self, n):
         if type(n) is not int:
@@ -409,6 +376,13 @@ def _in_zq(values) -> bool:
     in Z or Z[q]; with a Fraction or QRat among them, two Z[q] values may
     have a quotient with rational coefficients, and only field_div finds it."""
     return all(type(v) in (int, QPoly) for v in values)
+
+
+def _check_scalars(values, what):
+    """Raise TypeError at the first value that is not a ring scalar."""
+    for v in values:
+        if type(v) not in _SCALAR_TYPES:
+            raise TypeError(f"{what} is not a ring scalar: {v!r}")
 
 
 def _require_scalar(x):

@@ -10,7 +10,7 @@ it off ``triangle.invert``.
 
 from __future__ import annotations
 
-from .ring import field_div, is_scalar
+from .ring import _check_scalars, field_div
 from .triangle import Triangle, invert
 
 __all__ = [
@@ -39,9 +39,7 @@ class TruncatedSeries:
             cs = (cs + [0] * order)[:order]
         if not cs:
             raise ValueError("empty coefficient list")
-        for c in cs:
-            if not is_scalar(c):
-                raise TypeError(f"series coefficient is not a ring scalar: {c!r}")
+        _check_scalars(cs, "series coefficient")
         self.coeffs = tuple(cs)
 
     @property
@@ -207,28 +205,20 @@ def _schroder_g(order: int):
     return gs
 
 
-def _schroder_phi(order: int):
-    """Coefficients of the series solving phi = x^2 + 3 x phi + 2 phi^2
-    with phi = x^2 + ...; starts 0, 0, 1, 3, 11, 45, ...  Needs order at
-    least 3, which schroder_column always asks for."""
-    ps = [0, 0, 1]
-    for k in range(3, order):
-        acc = 3 * ps[k - 1] + 2 * sum(ps[i] * ps[k - i] for i in range(2, k - 1))
-        ps.append(acc)
-    return ps
-
-
 def schroder_column(k: int, order: int):
     """Column k of the interleaved Schroeder triangle as a coefficient
     list: even columns are g * phi^(k/2) shifted to start at row k, odd
-    columns are powers of phi starting at row k as well."""
+    columns are powers of phi starting at row k as well.  phi = x (g - 1)
+    solves phi = x^2 + 3 x phi + 2 phi^2, so its coefficients are those of
+    g shifted up two places: 0, 0, 1, 3, 11, 45, ..."""
     if k < 0:
         raise ValueError("column index must be nonnegative")
     if order < 1:
         raise ValueError("order must be positive")
     work = order + k + 2
-    g = TruncatedSeries(_schroder_g(work))
-    phi = TruncatedSeries(_schroder_phi(work))
+    gs = _schroder_g(work)
+    g = TruncatedSeries(gs)
+    phi = TruncatedSeries([0, 0] + gs[1 : work - 1])
     if k % 2 == 0:
         col = g
         for _ in range(k // 2):

@@ -12,7 +12,7 @@ stay in the ring or raise.
 
 from __future__ import annotations
 
-from .ring import _in_zq, exact_div, field_div, is_scalar
+from .ring import _check_scalars, _in_zq, exact_div, field_div
 
 __all__ = [
     "Triangle",
@@ -26,13 +26,6 @@ __all__ = [
     "hankel_det",
     "hankel_transform",
 ]
-
-
-def _check_entries(rows):
-    for r in rows:
-        for v in r:
-            if not is_scalar(v):
-                raise TypeError(f"matrix entry is not a ring scalar: {v!r}")
 
 
 class _Rows:
@@ -54,7 +47,7 @@ class _Rows:
             width = i + 1 + self._extra
             if len(r) != width:
                 raise ValueError(f"row {i} must have {width} entries, got {len(r)}")
-        _check_entries(rs)
+            _check_scalars(r, "matrix entry")
         self.rows = rs
 
     @property
@@ -194,11 +187,9 @@ def rescale_columns(T: Triangle, scale) -> Triangle:
     ExactDivisionError."""
     if len(scale) < T.size:
         raise ValueError("need a scale factor for every column")
-    for v in scale[: T.size]:
-        if not is_scalar(v):
-            raise TypeError(f"scale factor is not a ring scalar: {v!r}")
-        if v == 0:
-            raise ValueError("zero scale factor")
+    _check_scalars(scale[: T.size], "scale factor")
+    if 0 in scale[: T.size]:
+        raise ValueError("zero scale factor")
     rows = [[exact_div(v, scale[j]) for j, v in enumerate(r)] for r in T.rows]
     return Triangle(rows)
 
@@ -229,8 +220,8 @@ def _bareiss_det(m):
 
 
 def _hankel_pivots(mu, n):
-    """h_0 .. h_n by the fraction-free three-term recurrence, or None when
-    some h_k with k < n is zero.
+    """h_0 .. h_n by the fraction-free three-term recurrence, stopping
+    after the first h_k that is zero: the next step would divide by it.
 
     nu[j] holds det(rows 0..k-1 and j, cols 0..k) of (mu[r + c]), so
     nu[k] = h_k; prev is the same row for k - 1.  Every division is exact
@@ -242,9 +233,9 @@ def _hankel_pivots(mu, n):
     pivots = []
     for k in range(n):
         h = nu[k]
-        if h == 0:
-            return None
         pivots.append(h)
+        if h == 0:
+            return pivots
         nk1, pk = nu[k + 1], prev[k]
         nxt = [0] * (2 * n + 1)
         for j in range(k + 1, 2 * n - k):
@@ -258,27 +249,23 @@ def _hankel_pivots(mu, n):
 
 def hankel_det(mu, n: int):
     """Determinant of the (n+1) x (n+1) matrix with entry (i, j) equal to
-    mu[i + j]: the fraction-free three-term recurrence, with Bareiss
-    elimination only when a leading minor vanishes."""
+    mu[i + j]: the last of ``hankel_transform(mu, n + 1)``."""
     if n < 0:
         raise ValueError("order must be nonnegative")
-    if len(mu) < 2 * n + 1:
-        raise ValueError(f"need {2 * n + 1} moments for order {n}, got {len(mu)}")
-    _check_entries([mu[: 2 * n + 1]])
-    pivots = _hankel_pivots(mu, n)
-    if pivots is not None:
-        return pivots[n]
-    return _bareiss_det([[mu[i + j] for j in range(n + 1)] for i in range(n + 1)])
+    return hankel_transform(mu, n + 1)[n]
 
 
 def hankel_transform(mu, count: int):
-    """First ``count`` Hankel determinants of a moment list."""
+    """First ``count`` Hankel determinants of a moment list: one sweep of
+    the fraction-free three-term recurrence, with Bareiss elimination only
+    for the orders past a vanishing leading minor."""
     if count < 1:
         raise ValueError("count must be positive")
-    if len(mu) < 2 * (count - 1) + 1:
-        raise ValueError(f"need {2 * (count - 1) + 1} moments, got {len(mu)}")
-    _check_entries([mu[: 2 * count - 1]])
-    pivots = _hankel_pivots(mu, count - 1)
-    if pivots is not None:
-        return pivots
-    return [hankel_det(mu, k) for k in range(count)]
+    need = 2 * count - 1
+    if len(mu) < need:
+        raise ValueError(f"need {need} moments, got {len(mu)}")
+    _check_scalars(mu[:need], "matrix entry")
+    dets = _hankel_pivots(mu, count - 1)
+    for n in range(len(dets), count):
+        dets.append(_bareiss_det([[mu[i + j] for j in range(n + 1)] for i in range(n + 1)]))
+    return dets

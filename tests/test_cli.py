@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import random
 
 import pytest
 
@@ -112,6 +113,7 @@ def test_exit_zero_on_help(capsys):
         ["moments", "--spec", "lit:" + "7" * 5000, "--count", "2"],
         ["moments", "--spec", "lit:1,\N{SUPERSCRIPT TWO}", "--count", "3"],
         ["gen", "--spec", "const:1", "--size", "3", "--q-symbolic"],
+        ["qd", "--moments", "1", "stray\nargument"],
     ],
 )
 def test_exit_two_usage(argv, capsys):
@@ -224,6 +226,71 @@ def test_exit_one_on_verify_failure(monkeypatch, capsys):
     assert err == "verify-failure: 1 check(s) failed\n"
     assert "FAIL broken" in out
     assert "RESULT fail" in out
+
+
+# Argument pools for the argv fuzzer, valid values first and then values
+# one step off or holding bad bytes.  Sizes stay small or go above the
+# bounds, so no draw runs long.
+_FUZZ_VALUES = {
+    "--spec": (["const:1", "qpow", "cycle:1,2", "prefix:1|cycle:1,2", "lit:1/2,q,3"],
+               ["lit:0,1", "const:", "cycle:1,(", "lit:q^2000", "lit:1/0", "nope:1",
+                "lit:1,\n2", ""]),
+    "--size": (["2", "3", "4", "5", "6"], ["-1", "0", "1", "16", "121", "x"]),
+    "--count": (["1", "2", "4", "6"], ["-1", "0", "15", "121", "x"]),
+    "--what": (["N", "M", "C", "prodN", "prodM", "prodCinv", "all"], ["Q"]),
+    "--method": (["det", "product", "both"], ["none"]),
+    "--moments": (["1,1,2,5,14", "1,q,1 + q", "1,1/2,1/3", "1"],
+                  ["1,1,0,-1,-2", "2,4", "0,1", "1,,2", "1,(", "1,\r1"]),
+    "--g": (["1", "1/(1 - x)", "1 + x^2"], ["x", "0", "1/x", "(", "1 + q"]),
+    "--f": (["x", "x/(1 - x)", "2*x + x^3"], ["x^2", "0", "1 + x", "x/0"]),
+    "--example": (["catalan", "qcase", "schroder"], ["pascal"]),
+    "--q": (["2", "-1"], ["0", "x"]),
+    "--format": (["pretty", "json", "csv"], ["xml"]),
+    "--out": (["o.txt"], ["missing/o.txt", "missing/o\n.txt"]),
+}
+_FUZZ_FLAGS = {
+    "gen": ["--spec", "--size", "--what"],
+    "moments": ["--spec", "--count"],
+    "hankel": ["--spec", "--count", "--method"],
+    "qd": ["--moments"],
+    "riordan": ["--g", "--f", "--size", "--inverse"],
+    "verify": ["--example", "--size", "--q", "--q-symbolic"],
+    "frobnicate": [],
+}
+_FUZZ_ANY_FLAG = list(_FUZZ_VALUES) + ["--inverse", "--q-symbolic", "--help", "x\ny"]
+
+
+def _fuzz_argv(rng, tmp_path):
+    """A command with most of its own flags, sometimes a stray flag or a
+    missing value; ``--out`` paths fall under ``tmp_path``."""
+    command = rng.choice(list(_FUZZ_FLAGS))
+    flags = [f for f in _FUZZ_FLAGS[command] if rng.randrange(8)]
+    flags += rng.sample(_FUZZ_ANY_FLAG, rng.randrange(2))
+    flags += [f for f in ("--format", "--out") if not rng.randrange(4)]
+    rng.shuffle(flags)
+    argv = [command] if rng.randrange(20) else []
+    for flag in flags:
+        argv.append(flag)
+        if flag in _FUZZ_VALUES and rng.randrange(20):
+            good, bad = _FUZZ_VALUES[flag]
+            value = rng.choice(good if rng.randrange(6) else bad)
+            argv.append(str(tmp_path / value) if flag == "--out" else value)
+    return argv
+
+
+def test_run_on_random_argv_fuzz(tmp_path, capsys):
+    # every argv ends in 0..3; 2 and 3 give exactly one stderr line, 0 none
+    rng = random.Random(20261020)
+    for _ in range(300):
+        argv = _fuzz_argv(rng, tmp_path)
+        rc, _, err = _run(argv, capsys)
+        assert rc in (0, 1, 2, 3), argv
+        if rc == 0:
+            assert err == "", argv
+        elif rc == 2:
+            assert err.startswith("usage-error: ") and err.count("\n") == 1, argv
+        elif rc == 3:
+            assert err.startswith("precondition-error: ") and err.count("\n") == 1, argv
 
 
 # --- output plumbing -------------------------------------------------------

@@ -35,9 +35,9 @@ def _references(tree):
                 yield node.attr, owner
 
 
-def test_every_export_has_a_caller():
-    # an export counts as called when src/, demos/ or bench/ refers to it
-    # by name from outside its own definition
+def _referenced_names():
+    # a name counts as called when src/, demos/ or bench/ refers to it
+    # from outside its own definition
     referenced = set()
     for folder in ("src", "demos", "bench"):
         for path in (ROOT / folder).rglob("*.py"):
@@ -45,5 +45,20 @@ def test_every_export_has_a_caller():
             for name, owner in _references(tree):
                 if name != owner:
                     referenced.add(name)
+    return referenced
+
+
+def test_every_export_has_a_caller():
     exports = set(cfmoments.__all__) | set(cli.__all__)
-    assert sorted(exports - referenced) == sorted(_KEPT_WITHOUT_CALLER)
+    assert sorted(exports - _referenced_names()) == sorted(_KEPT_WITHOUT_CALLER)
+
+
+def test_every_module_level_definition_has_a_caller():
+    # private helpers too, so a helper that a change leaves behind fails
+    defined = set()
+    for path in (ROOT / "src" / "cfmoments").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(top.name)
+    assert sorted(defined - _referenced_names()) == sorted(_KEPT_WITHOUT_CALLER)

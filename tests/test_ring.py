@@ -78,7 +78,7 @@ def test_qrat_field_ops():
     half = QRat.make(1, 1 + q)
     assert half + half == QRat.make(2, 1 + q)
     assert half * (1 + q) == 1
-    assert (1 / half) == 1 + q
+    assert field_div(1, half) == 1 + q
     assert half - half == 0
     assert half**2 == QRat.make(1, (1 + q) ** 2)
     assert half**-1 == 1 + q
@@ -284,6 +284,72 @@ def test_render_parse_roundtrip_random():
     for _ in range(200):
         x = _random_scalar(rng)
         assert parse_scalar(render(x)) == x
+
+
+# --- seeded fuzzers -----------------------------------------------------
+
+_KINDS = (int, Fraction, QPoly, QRat)
+
+
+def _fuzz_scalar(rng, kind):
+    """A value whose type is exactly ``kind``; coefficients are mostly
+    small, sometimes 30 digits long, of either sign."""
+
+    def coeff():
+        if rng.randrange(5):
+            return rng.randrange(-9, 10)
+        return rng.randrange(-(10**30), 10**30)
+
+    def poly():
+        return QPoly.make([coeff() for _ in range(rng.randrange(1, 5))])
+
+    while True:
+        if kind is int:
+            x = coeff()
+        elif kind is Fraction:
+            x = field_div(coeff(), coeff() or 1)
+        elif kind is QPoly:
+            x = poly()
+        else:
+            den = poly()
+            x = field_div(poly(), den if den != 0 else 1 + q)
+        if type(x) is kind:
+            return x
+
+
+def test_render_parse_roundtrip_fuzz():
+    # equal value and identical rendering; an integral Fraction comes
+    # back as an int, so the exact type may differ
+    rng = random.Random(20261018)
+    for i in range(2000):
+        x = _fuzz_scalar(rng, _KINDS[i % 4])
+        text = render(x)
+        back = parse_scalar(text)
+        assert back == x, text
+        assert render(back) == text
+
+
+def test_ring_axioms_across_types_fuzz():
+    # every ordered pair of types, each on each side; equal results must
+    # also render identically, so every result is in canonical form
+    rng = random.Random(20261019)
+    for i in range(800):
+        a = _fuzz_scalar(rng, _KINDS[i % 4])
+        b = _fuzz_scalar(rng, _KINDS[i // 4 % 4])
+        c = _fuzz_scalar(rng, rng.choice(_KINDS))
+        pairs = [
+            (a + b, b + a),
+            (a * b, b * a),
+            ((a + b) + c, a + (b + c)),
+            ((a * b) * c, a * (b * c)),
+            (a * (b + c), a * b + a * c),
+            (a - b, -(b - a)),
+            (a - b, a + (-b)),
+            (a - a, 0),
+        ]
+        for left, right in pairs:
+            assert left == right, (a, b, c)
+            assert render(left) == render(right), (a, b, c)
 
 
 def _coeff_list(x):
