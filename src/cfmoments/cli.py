@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -451,6 +452,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -575,7 +577,11 @@ def _complain(prefix, reason):
 
 
 def run(argv) -> int:
-    """Execute one command line; returns the exit status."""
+    """Execute one command line; returns the exit status.
+
+    The argument parser is built once per process and reused: parsing
+    keeps its state in the namespace it returns, not in the parser.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -7,6 +7,14 @@ polynomials demote to int, and quotients reduce and demote when the
 denominator cancels.  A ``Fraction`` never demotes: ``field_div(4, 2)``
 is ``Fraction(2, 1)``, which renders as ``2`` and parses back as int 2.
 No floating point is accepted anywhere.
+
+Products and exact quotients in Z[q] take their path from the operands'
+shape, in this order: a factor 1 or 0 returns at once; a monomial
+factor c·q^m scales and shifts the other one; two true polynomials
+multiply by the schoolbook loop.  Division takes the divisor's power of
+q off both sides, divides coefficientwise by a constant that remains,
+and long-divides by anything else.  The q-case divides almost only by
+monomials: its Hankel determinants are powers of q.
 """
 
 from __future__ import annotations
@@ -133,9 +141,19 @@ class QPoly:
     def __mul__(self, other):
         t = type(other)
         if t is int:
+            if other == 1:
+                return self
+            if other == 0:
+                return 0
             return QPoly._from_ints([c * other for c in self.coeffs])
         if t is QPoly:
             a, b = self.coeffs, other.coeffs
+            # c·q^m times p is p's coefficients scaled by c and shifted by m
+            if not any(b[:-1]):
+                a, b = b, a
+            if not any(a[:-1]):
+                c = a[-1]
+                return QPoly._from_ints([0] * (len(a) - 1) + [c * v for v in b])
             out = [0] * (len(a) + len(b) - 1)
             for i, ca in enumerate(a):
                 if ca:
@@ -240,22 +258,47 @@ def _zq_gcd(x, y):
 
 
 def _zq_exact_div(x, y):
-    """Exact division in the polynomial ring by long division from the
-    top; whatever is left in xs is a remainder, and then it raises."""
+    """Exact division in the polynomial ring, by the divisor's shape:
+
+    1. y = q^m·y' with y'(0) ≠ 0: q^m comes off both operands, and a
+       nonzero coefficient of x below q^m is a remainder;
+    2. a constant y' divides coefficientwise, and y' = 1 returns x/q^m;
+    3. any other y' long-divides from the top.
+
+    It raises at the first remainder.
+    """
     xs = _strip(_zq_coeffs(x))
     ys = _strip(_zq_coeffs(y))
-    dy = len(ys) - 1
-    out = [0] * max(len(xs) - dy, 0)
-    for k in range(len(out) - 1, -1, -1):
-        quot, rem = divmod(xs[k + dy], ys[-1])
-        if rem:
-            break
-        out[k] = quot
-        for j, yc in enumerate(ys):
-            xs[k + j] -= quot * yc
-    if any(xs):
-        raise ExactDivisionError(f"{render(x)} not divisible by {render(y)}")
-    return QPoly._from_ints(out)
+    m = 0
+    while not ys[m]:
+        m += 1
+    if not any(xs[:m]):
+        del xs[:m], ys[:m]
+        if len(ys) == 1:
+            d = ys[0]
+            if d == 1:
+                return x if m == 0 else QPoly._from_ints(xs)
+            out = []
+            for c in xs:
+                quot, rem = divmod(c, d)
+                if rem:
+                    break
+                out.append(quot)
+            else:
+                return QPoly._from_ints(out)
+        else:
+            dy = len(ys) - 1
+            out = [0] * max(len(xs) - dy, 0)
+            for k in range(len(out) - 1, -1, -1):
+                quot, rem = divmod(xs[k + dy], ys[-1])
+                if rem:
+                    break
+                out[k] = quot
+                for j, yc in enumerate(ys):
+                    xs[k + j] -= quot * yc
+            if not any(xs):
+                return QPoly._from_ints(out)
+    raise ExactDivisionError(f"{render(x)} not divisible by {render(y)}")
 
 
 def _as_zq_pair(x):

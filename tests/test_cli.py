@@ -8,6 +8,7 @@ import pytest
 from cfmoments.cfrac import SFractionCoeffs
 from cfmoments.cli import (
     SequenceExhausted,
+    _build_parser,
     SpecParseError,
     parse_matrix_json,
     parse_spec,
@@ -79,6 +80,45 @@ def test_spec_errors_with_offsets(text, offset):
     with pytest.raises(SpecParseError) as e:
         parse_spec(text)
     assert e.value.offset == offset
+
+
+_SPEC_VALUES = ["0", "7", "-12", "1/2", "q", "-3*q^2", "1 + q", "(1 + q)/(1 + 2*q)"]
+
+
+def _random_spec(rng):
+    """A valid spec and the (start, end) index ranges of its value bodies."""
+
+    def body():
+        return ",".join(rng.choice(_SPEC_VALUES) for _ in range(rng.randrange(1, 4)))
+
+    kind = rng.choice(["lit", "const", "cycle", "prefix"])
+    if kind == "const":
+        text = "const:" + rng.choice(_SPEC_VALUES)
+        return text, [(6, len(text))]
+    if kind != "prefix":
+        text = f"{kind}:{body()}"
+        return text, [(len(kind) + 1, len(text))]
+    head = "prefix:" + body()
+    text = head + "|cycle:" + body()
+    return text, [(7, len(head)), (len(head) + 7, len(text))]
+
+
+def test_spec_offsets_fuzz():
+    # a stray '#' inside a value body is reported at exactly its index;
+    # inside a keyword, at or before it
+    rng = random.Random(20261021)
+    for _ in range(60):
+        text, bodies = _random_spec(rng)
+        parse_spec(text)
+        for i in range(len(text) + 1):
+            with pytest.raises(SpecParseError) as e:
+                parse_spec(text[:i] + "#" + text[i:])
+            offset = e.value.offset
+            assert str(e.value).endswith(f"at byte {offset}"), (text, i)
+            if any(start <= i <= end for start, end in bodies):
+                assert offset == i, (text, i)
+            else:
+                assert 0 <= offset <= i, (text, i)
 
 
 # --- exit codes ------------------------------------------------------------
@@ -291,6 +331,26 @@ def test_run_on_random_argv_fuzz(tmp_path, capsys):
             assert err.startswith("usage-error: ") and err.count("\n") == 1, argv
         elif rc == 3:
             assert err.startswith("precondition-error: ") and err.count("\n") == 1, argv
+
+
+def test_cached_parser_carries_no_state(tmp_path, capsys):
+    # the parser is built once per process; each second run must match a
+    # run of the same argv on a freshly built parser
+    out = str(tmp_path / "first.txt")
+    riordan = ["riordan", "--g", "1 - x", "--f", "x - x^2", "--size", "4"]
+    pairs = [
+        (riordan + ["--inverse"], riordan),
+        (["verify", "--example", "qcase", "--q", "2"], ["verify", "--example", "qcase"]),
+        (["moments", "--spec", "const:1", "--count", "5", "--out", out],
+         ["moments", "--spec", "const:1", "--count", "5"]),
+        (["--help"], ["--help"]),
+    ]
+    for first, second in pairs:
+        _build_parser.cache_clear()
+        fresh = _run(second, capsys)
+        _run(first, capsys)
+        assert _run(second, capsys) == fresh, second
+    assert _build_parser() is _build_parser()
 
 
 # --- output plumbing -------------------------------------------------------

@@ -426,6 +426,57 @@ def test_qrat_make_is_reduced_random():
         assert num * d == n * den
 
 
+def _schoolbook(x, y):
+    """Product of two Z[q] values by the plain double loop: the oracle for
+    the monomial and unit paths of QPoly multiplication."""
+    a, b = _coeff_list(x), _coeff_list(y)
+    out = [0] * (len(a) + len(b))
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return QPoly.make(out)
+
+
+def test_monomial_and_unit_paths_match_schoolbook_random():
+    rng = random.Random(20261021)
+    for _ in range(600):
+        p = QPoly.make([rng.randrange(-(2**80), 2**80 + 1) for _ in range(rng.randrange(1, 31))])
+        c = rng.choice((1, -1, rng.randrange(-(2**40), 2**40) or 2))
+        mono = QPoly.make([0] * rng.randrange(11) + [c])
+        r = _random_zq(rng) or 1 + q
+        for got, want in (
+            (p * mono, _schoolbook(p, mono)),
+            (mono * p, _schoolbook(p, mono)),
+            (p * 1, p),
+            (1 * p, p),
+            (p * 0, 0),
+            (0 * p, 0),
+        ):
+            assert type(got) is type(want) and got == want, (p, mono)
+        assert exact_div(p * mono, mono) == p
+        assert exact_div(p * mono * r, mono * r) == p
+        assert exact_div(p * c, c) == p
+
+
+@pytest.mark.parametrize(
+    "x,y,message",
+    [
+        (1 + q, q, "1 + q not divisible by q"),
+        (1 + 2 * q, 2, "1 + 2*q not divisible by 2"),
+        (q**2 + 3 * q**3, 2 * q**2, "q^2 + 3*q^3 not divisible by 2*q^2"),
+    ],
+)
+def test_monomial_and_constant_divisors_raise(x, y, message):
+    with pytest.raises(ExactDivisionError) as e:
+        exact_div(x, y)
+    assert str(e.value) == message
+
+
+def test_zero_over_a_monomial_is_zero():
+    got = exact_div(0, -3 * q**4)
+    assert type(got) is int and got == 0
+
+
 def test_constructors_check_coefficient_types():
     for bad in ([1, 0.5], [1, Fraction(1, 2)], [True, 1]):
         with pytest.raises(TypeError):
