@@ -8,13 +8,13 @@ denominator cancels.  A ``Fraction`` never demotes: ``field_div(4, 2)``
 is ``Fraction(2, 1)``, which renders as ``2`` and parses back as int 2.
 No floating point is accepted anywhere.
 
-Products and exact quotients in Z[q] take their path from the operands'
-shape, in this order: a factor 1 or 0 returns at once; a monomial
-factor c·q^m scales and shifts the other one; two true polynomials
-multiply by the schoolbook loop.  Division takes the divisor's power of
-q off both sides, divides coefficientwise by a constant that remains,
-and long-divides by anything else.  The q-case divides almost only by
-monomials: its Hankel determinants are powers of q.
+Z[q] products and exact quotients are linear in the other operand when
+one operand is a monomial c·q^m.  A factor 1 or 0 returns at once, a
+monomial factor scales and shifts the other one, and any other product
+is schoolbook.  Division takes the divisor's power of q off both sides,
+returns at once when 1 is left, and otherwise long-divides, which for a
+constant is one divmod per coefficient.  The q-case divides almost only
+by monomials: its Hankel determinants are powers of q.
 """
 
 from __future__ import annotations
@@ -258,47 +258,31 @@ def _zq_gcd(x, y):
 
 
 def _zq_exact_div(x, y):
-    """Exact division in the polynomial ring, by the divisor's shape:
-
-    1. y = q^m·y' with y'(0) ≠ 0: q^m comes off both operands, and a
-       nonzero coefficient of x below q^m is a remainder;
-    2. a constant y' divides coefficientwise, and y' = 1 returns x/q^m;
-    3. any other y' long-divides from the top.
-
-    It raises at the first remainder.
-    """
+    """Exact division in the polynomial ring.  The divisor's power q^m
+    comes off both operands (x's coefficients below q^m are a remainder);
+    a divisor that is then 1 returns x/q^m, and any other long-divides
+    from the top.  Whatever is left is a remainder, and then it raises."""
     xs = _strip(_zq_coeffs(x))
     ys = _strip(_zq_coeffs(y))
     m = 0
     while not ys[m]:
         m += 1
-    if not any(xs[:m]):
-        del xs[:m], ys[:m]
-        if len(ys) == 1:
-            d = ys[0]
-            if d == 1:
-                return x if m == 0 else QPoly._from_ints(xs)
-            out = []
-            for c in xs:
-                quot, rem = divmod(c, d)
-                if rem:
-                    break
-                out.append(quot)
-            else:
-                return QPoly._from_ints(out)
-        else:
-            dy = len(ys) - 1
-            out = [0] * max(len(xs) - dy, 0)
-            for k in range(len(out) - 1, -1, -1):
-                quot, rem = divmod(xs[k + dy], ys[-1])
-                if rem:
-                    break
-                out[k] = quot
-                for j, yc in enumerate(ys):
-                    xs[k + j] -= quot * yc
-            if not any(xs):
-                return QPoly._from_ints(out)
-    raise ExactDivisionError(f"{render(x)} not divisible by {render(y)}")
+    low, xs, ys = xs[:m], xs[m:], ys[m:]
+    if ys == [1] and not any(low):
+        return x if m == 0 else QPoly._from_ints(xs)
+    dy, rem = len(ys) - 1, 0
+    out = [0] * max(len(xs) - dy, 0)
+    for k in range(len(out) - 1, -1, -1):
+        quot, rem = divmod(xs[k + dy], ys[-1])
+        if rem:
+            break
+        out[k] = quot
+        # the top coefficient cancels exactly; only the dy below it change
+        for j in range(dy):
+            xs[k + j] -= quot * ys[j]
+    if rem or any(low) or any(xs[:dy]):
+        raise ExactDivisionError(f"{render(x)} not divisible by {render(y)}")
+    return QPoly._from_ints(out)
 
 
 def _as_zq_pair(x):

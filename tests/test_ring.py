@@ -93,8 +93,16 @@ def test_exact_div_ints():
 def test_exact_div_polys():
     assert exact_div(q**3, q) == q**2
     assert exact_div(q**2 - 1, q - 1) == q + 1
-    with pytest.raises(ExactDivisionError):
-        exact_div(1 + q, q)
+    zero = exact_div(0, -3 * q**4)
+    assert type(zero) is int and zero == 0
+    for x, y, message in (
+        (1 + q, q, "1 + q not divisible by q"),
+        (1 + 2 * q, 2, "1 + 2*q not divisible by 2"),
+        (q**2 + 3 * q**3, 2 * q**2, "q^2 + 3*q^3 not divisible by 2*q^2"),
+    ):
+        with pytest.raises(ExactDivisionError) as e:
+            exact_div(x, y)
+        assert str(e.value) == message
     with pytest.raises(ExactDivisionError):
         exact_div(QPoly((0, 2)), QPoly((0, 4)))
 
@@ -456,25 +464,6 @@ def test_monomial_and_unit_paths_match_schoolbook_random():
         assert exact_div(p * mono, mono) == p
         assert exact_div(p * mono * r, mono * r) == p
         assert exact_div(p * c, c) == p
-
-
-@pytest.mark.parametrize(
-    "x,y,message",
-    [
-        (1 + q, q, "1 + q not divisible by q"),
-        (1 + 2 * q, 2, "1 + 2*q not divisible by 2"),
-        (q**2 + 3 * q**3, 2 * q**2, "q^2 + 3*q^3 not divisible by 2*q^2"),
-    ],
-)
-def test_monomial_and_constant_divisors_raise(x, y, message):
-    with pytest.raises(ExactDivisionError) as e:
-        exact_div(x, y)
-    assert str(e.value) == message
-
-
-def test_zero_over_a_monomial_is_zero():
-    got = exact_div(0, -3 * q**4)
-    assert type(got) is int and got == 0
 
 
 def test_constructors_check_coefficient_types():
