@@ -15,6 +15,12 @@ is schoolbook.  Division takes the divisor's power of q off both sides,
 returns at once when 1 is left, and otherwise long-divides, which for a
 constant is one divmod per coefficient.  The q-case divides almost only
 by monomials: its Hankel determinants are powers of q.
+
+A sum of products Σ x·y whose operands are all ints and QPolys, one of
+them at least a QPoly, runs as one fused kernel (``_zq_dot``) that adds
+every term into one coefficient list, with the same shape rules.  The
+triangle kernels and the Z[q] Hankel sweep choose it once per call from
+their operands' types; int and field operands keep the operator fold.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from operator import add
 
 __all__ = [
     "ExactDivisionError",
@@ -115,10 +122,11 @@ class QPoly:
             return QPoly._from_ints(cs)
         if t is QPoly:
             a, b = self.coeffs, other.coeffs
-            n = max(len(a), len(b))
-            return QPoly._from_ints(
-                [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-            )
+            if len(a) < len(b):
+                a, b = b, a
+            cs = list(map(add, a, b))
+            cs += a[len(b) :]
+            return QPoly._from_ints(cs)
         if t is Fraction:
             return QRat.make(self * other.denominator + other.numerator, other.denominator)
         return NotImplemented
@@ -398,18 +406,80 @@ def is_scalar(x) -> bool:
     return type(x) in _SCALAR_TYPES
 
 
+_ZQ_TYPES = frozenset((int, QPoly))
+
+
 def _in_zq(values) -> bool:
     """True when every value is an int or a QPoly.  Then exact_div divides
     in Z or Z[q]; with a Fraction or QRat among them, two Z[q] values may
     have a quotient with rational coefficients, and only field_div finds it."""
-    return all(type(v) in (int, QPoly) for v in values)
+    return all(type(v) in _ZQ_TYPES for v in values)
 
 
 def _check_scalars(values, what):
-    """Raise TypeError at the first value that is not a ring scalar."""
-    for v in values:
-        if type(v) not in _SCALAR_TYPES:
-            raise TypeError(f"{what} is not a ring scalar: {v!r}")
+    """The set of the values' types; TypeError names the first value that
+    is not a ring scalar."""
+    types = set(map(type, values))
+    if not types <= _SCALAR_TYPES:
+        for v in values:
+            if type(v) not in _SCALAR_TYPES:
+                raise TypeError(f"{what} is not a ring scalar: {v!r}")
+    return types
+
+
+def _fuses(types) -> bool:
+    """True when ``_zq_dot`` applies to operands of these types: every one
+    an int or a QPoly, and at least one a QPoly."""
+    return QPoly in types and types <= _ZQ_TYPES
+
+
+def _zq_dot(xs, ys):
+    """Σ x·y over paired int and QPoly operands, equal in value and exact
+    type to folding ``s = s + x*y`` from 0.
+
+    Every term adds into one coefficient list, so no product or partial
+    sum is built.  A zero operand adds nothing.  When one operand is an
+    int or a monomial c·q^m, the other is scaled by c into the list at
+    offset m, in one step if it is a monomial too.  Only two polynomials
+    of two or more terms each run the schoolbook loop.
+    """
+    acc = [0]
+    for x, y in zip(xs, ys):
+        # int 0 is the only false operand: a QPoly is never zero
+        if not x or not y:
+            continue
+        if type(x) is int:
+            if type(y) is int:
+                acc[0] += x * y
+                continue
+            c, m, p = x, 0, y.coeffs
+        elif type(y) is int:
+            c, m, p = y, 0, x.coeffs
+        else:
+            a, b = x.coeffs, y.coeffs
+            if not any(a[:-1]):
+                c, m, p = a[-1], len(a) - 1, b
+            elif not any(b[:-1]):
+                c, m, p = b[-1], len(b) - 1, a
+            else:
+                top = len(a) + len(b) - 1
+                if len(acc) < top:
+                    acc += [0] * (top - len(acc))
+                for i, c in enumerate(a):
+                    if c:
+                        for k, v in enumerate(b, i):
+                            acc[k] += c * v
+                continue
+        # c·q^m times p
+        top = m + len(p)
+        if len(acc) < top:
+            acc += [0] * (top - len(acc))
+        if any(p[:-1]):
+            for k, v in enumerate(p, m):
+                acc[k] += c * v
+        else:
+            acc[top - 1] += c * p[-1]
+    return acc[0] if len(acc) == 1 else QPoly._from_ints(acc)
 
 
 def _require_scalar(x):
@@ -424,7 +494,7 @@ def field_div(x, y):
     if type(x) in (int, Fraction) and type(y) in (int, Fraction):
         if y == 0:
             raise ZeroDivisionError("division by zero")
-        return Fraction(x) / Fraction(y)
+        return Fraction(x, y)
     return QRat.make(x, y)
 
 

@@ -7,12 +7,15 @@ in O(n^2) ring operations, with Bareiss elimination only when a leading
 minor vanishes.
 
 Everything is exact; entries are ring scalars and all divisions either
-stay in the ring or raise.
+stay in the ring or raise.  Over Z[q], with a QPoly among the operands,
+each entry of generate, invert and mul, and each of the two formulas of
+a Hankel cell, is one fused sum of products (``ring._zq_dot``); other
+operands fold ``s = s + x*y`` inline.
 """
 
 from __future__ import annotations
 
-from .ring import _check_scalars, _in_zq, exact_div, field_div
+from .ring import _check_scalars, _fuses, _in_zq, _zq_dot, exact_div, field_div
 
 __all__ = [
     "Triangle",
@@ -30,9 +33,9 @@ __all__ = [
 
 class _Rows:
     """Row store shared by both matrix shapes: row i holds
-    i + 1 + _extra entries."""
+    i + 1 + _extra entries.  ``types`` is the set of the entries' types."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "types")
     _extra = 0
 
     def __init__(self, rows):
@@ -43,12 +46,14 @@ class _Rows:
         rs = tuple([tuple(r) for r in rows])
         if not rs:
             raise ValueError(f"empty {type(self).__name__}")
+        types = set()
         for i, r in enumerate(rs):
             width = i + 1 + self._extra
             if len(r) != width:
                 raise ValueError(f"row {i} must have {width} entries, got {len(r)}")
-            _check_scalars(r, "matrix entry")
+            types |= _check_scalars(r, "matrix entry")
         self.rows = rs
+        self.types = types
 
     @property
     def size(self) -> int:
@@ -108,6 +113,13 @@ def generate(P: ProductionMatrix, n: int) -> Triangle:
     if P.size < n - 1:
         raise ValueError(f"production matrix has {P.size} rows, need {n - 1}")
     rows = [[1]]
+    if _fuses(P.types):
+        # column j of P from its first entry, in row j - 1 (row 0 for j = 0)
+        cols = [[r[j] for r in P.rows[max(0, j - 1) : n - 1]] for j in range(n)]
+        for r in range(n - 1):
+            prev = rows[r]
+            rows.append([_zq_dot(prev[max(0, j - 1) :], cols[j]) for j in range(r + 2)])
+        return Triangle(rows)
     for r in range(n - 1):
         prev = rows[r]
         nxt = []
@@ -141,6 +153,20 @@ def invert(T: Triangle) -> Triangle:
         if d == 0:
             raise ZeroDivisionError(f"zero diagonal entry at row {i}")
         diag_inv.append(1 if d == 1 else (-1 if d == -1 else field_div(1, d)))
+    if _fuses(T.types | set(map(type, diag_inv))):
+        # every diagonal entry is a unit of Z[q], so 1 or -1
+        rows = []
+        cols = []  # column j of the inverse from row j down to the last row built
+        for t, d in zip(T.rows, diag_inv):
+            row = [_zq_dot(t[j:], col) for j, col in enumerate(cols)]
+            if d == 1:
+                row = [-s for s in row]
+            for col, v in zip(cols, row):
+                col.append(v)
+            row.append(d)
+            cols.append([d])
+            rows.append(row)
+        return Triangle(rows)
     rows = [[0] * (i + 1) for i in range(n)]
     for i in range(n):
         rows[i][i] = diag_inv[i]
@@ -157,6 +183,9 @@ def mul(A: Triangle, B: Triangle) -> Triangle:
     if A.size != B.size:
         raise ValueError("size mismatch")
     n = A.size
+    if _fuses(A.types | B.types):
+        cols = [[r[j] for r in B.rows[j:]] for j in range(n)]
+        return Triangle([[_zq_dot(a[j:], cols[j]) for j in range(len(a))] for a in A.rows])
     rows = []
     for i in range(n):
         row = []
@@ -219,17 +248,20 @@ def _bareiss_det(m):
     return -v if sign < 0 else v
 
 
-def _hankel_pivots(mu, n):
+def _hankel_pivots(mu, n, types):
     """h_0 .. h_n by the fraction-free three-term recurrence, stopping
     after the first h_k that is zero: the next step would divide by it.
 
     nu[j] holds det(rows 0..k-1 and j, cols 0..k) of (mu[r + c]), so
     nu[k] = h_k; prev is the same row for k - 1.  Every division is exact
     because each quotient is a minor, so over Z and Z[q] a wrong step
-    raises.  O(n^2) ring operations.
+    raises.  O(n^2) ring operations.  ``types`` are the types of
+    mu[: 2n + 1]; over Z[q] with a QPoly among them each of a cell's two
+    formulas is one ``_zq_dot``.
     """
     prev, nu, hp = [0] * (2 * n + 1), list(mu[: 2 * n + 1]), 1
     div = exact_div if _in_zq(nu) else field_div
+    fused = _fuses(types)
     pivots = []
     for k in range(n):
         h = nu[k]
@@ -238,10 +270,16 @@ def _hankel_pivots(mu, n):
             return pivots
         nk1, pk = nu[k + 1], prev[k]
         nxt = [0] * (2 * n + 1)
-        for j in range(k + 1, 2 * n - k):
-            # b = det(rows 0..k-2, k and j, cols 0..k)
-            b = div(pk * nu[j] - h * prev[j], hp)
-            nxt[j] = div(h * (nu[j + 1] + b) - nk1 * nu[j], hp)
+        # b = det(rows 0..k-2, k and j, cols 0..k)
+        if fused:
+            nh, nnk1 = -h, -nk1
+            for j in range(k + 1, 2 * n - k):
+                b = div(_zq_dot((pk, nh), (nu[j], prev[j])), hp)
+                nxt[j] = div(_zq_dot((h, nnk1), (nu[j + 1] + b, nu[j])), hp)
+        else:
+            for j in range(k + 1, 2 * n - k):
+                b = div(pk * nu[j] - h * prev[j], hp)
+                nxt[j] = div(h * (nu[j + 1] + b) - nk1 * nu[j], hp)
         prev, nu, hp = nu, nxt, h
     pivots.append(nu[n])
     return pivots
@@ -264,8 +302,8 @@ def hankel_transform(mu, count: int):
     need = 2 * count - 1
     if len(mu) < need:
         raise ValueError(f"need {need} moments, got {len(mu)}")
-    _check_scalars(mu[:need], "matrix entry")
-    dets = _hankel_pivots(mu, count - 1)
+    types = _check_scalars(mu[:need], "matrix entry")
+    dets = _hankel_pivots(mu, count - 1, types)
     for n in range(len(dets), count):
         dets.append(_bareiss_det([[mu[i + j] for j in range(n + 1)] for i in range(n + 1)]))
     return dets

@@ -3,6 +3,7 @@ rescale, Hankel determinants."""
 
 import functools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from cfmoments import triangle
 from cfmoments.cfrac import SFractionCoeffs, hankel_from_sfraction, moments_from_sfraction
 from cfmoments.pipeline import compare
-from cfmoments.ring import ExactDivisionError, QPoly, QRat, q
+from cfmoments.ring import ExactDivisionError, QPoly, QRat, field_div, q
 from cfmoments.triangle import (
     ProductionMatrix,
     Triangle,
@@ -316,3 +317,120 @@ def test_hankel_preconditions():
 def test_hankel_transform():
     assert hankel_transform([1, 1, 2, 5, 14], 3) == [1, 1, 1]
 
+
+# -- the kernels against the operator fold --------------------------------------
+
+
+def _fold(terms):
+    s = 0
+    for x, y in terms:
+        s = s + x * y
+    return s
+
+
+def _generate_ref(P, n):
+    rows = [[1]]
+    for r in range(n - 1):
+        prev = rows[r]
+        rows.append(
+            [
+                _fold((prev[t], P.rows[t][j]) for t in range(max(0, j - 1), r + 1))
+                for j in range(r + 2)
+            ]
+        )
+    return rows
+
+
+def _invert_ref(T):
+    n = T.size
+    rows = [[0] * (i + 1) for i in range(n)]
+    for i in range(n):
+        d = T.rows[i][i]
+        rows[i][i] = 1 if d == 1 else (-1 if d == -1 else field_div(1, d))
+        for j in range(i):
+            s = _fold((T.rows[i][t], rows[t][j]) for t in range(j, i))
+            rows[i][j] = -(rows[i][i] * s) if s != 0 else 0
+    return rows
+
+
+def _mul_ref(A, B):
+    n = A.size
+    return [
+        [_fold((A.rows[i][t], B.rows[t][j]) for t in range(j, i + 1)) for j in range(i + 1)]
+        for i in range(n)
+    ]
+
+
+def _typed(rows):
+    return [[(type(v), v) for v in r] for r in rows]
+
+
+def _mixed_entry(rng):
+    return rng.choice((_fraction_entry, _poly_entry))(rng)
+
+
+# per ring: an entry and the diagonal entries of a unit and a non-unit triangle
+_KERNEL_RINGS = [
+    (_int_entry, (1, -1), (2, -3)),
+    (_fraction_entry, (1, Fraction(-1)), (Fraction(2, 3), Fraction(-5, 2))),
+    (_poly_entry, (1, -1), (q, 2 + q)),
+    (_qq_entry, (1, -1), (QRat.make(1, 1 + q), 1 - q)),
+    (_mixed_entry, (1, -1), (Fraction(1, 2), 1 + q)),
+]
+
+
+def test_kernels_match_the_operator_fold_random():
+    rng = random.Random(20261019)
+    for entry, units, non_units in _KERNEL_RINGS:
+        for _ in range(12):
+            n = rng.randrange(1, 7)
+            P = ProductionMatrix([[entry(rng) for _ in range(i + 2)] for i in range(n)])
+            assert _typed(generate(P, n + 1).rows) == _typed(_generate_ref(P, n + 1))
+            for diagonal in (units, non_units):
+                T = Triangle(
+                    [[entry(rng) for _ in range(i)] + [rng.choice(diagonal)] for i in range(n)]
+                )
+                assert _typed(invert(T).rows) == _typed(_invert_ref(T))
+            A = Triangle([[entry(rng) for _ in range(i + 1)] for i in range(n)])
+            B = Triangle([[entry(rng) for _ in range(i + 1)] for i in range(n)])
+            assert _typed(mul(A, B).rows) == _typed(_mul_ref(A, B))
+            mu = [entry(rng) for _ in range(2 * n - 1)]
+            dets = [
+                _cofactor_det([[mu[i + j] for j in range(k + 1)] for i in range(k + 1)])
+                for k in range(n)
+            ]
+            got = hankel_transform(mu, n)
+            assert got == dets
+            # a Fraction never demotes, so over a field the type of an
+            # integral determinant depends on the route; over Z[q] it cannot
+            if set(map(type, mu)) <= {int, QPoly}:
+                assert _typed([got]) == _typed([dets])
+
+
+def test_zq_compare_kernels_make_no_qpoly_product_or_sum(monkeypatch):
+    # every entry of generate, invert and mul is one fused sum of products,
+    # and so is each formula of a Hankel cell (whose one add is inside a
+    # factor): a QPoly product below them, or a sum below the three matrix
+    # kernels, means a kernel fell back to the operator fold
+    kernels = {f.__code__: f.__name__ for f in (generate, invert, mul, triangle._hankel_pivots)}
+    calls = []
+
+    def counted(method, op):
+        def spy(self, other):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code not in kernels:
+                frame = frame.f_back
+            calls.append((None if frame is None else kernels[frame.f_code], op))
+            return method(self, other)
+
+        return spy
+
+    for name, op in (("__mul__", "mul"), ("__rmul__", "mul"), ("__add__", "add"),
+                     ("__radd__", "add")):
+        monkeypatch.setattr(QPoly, name, counted(getattr(QPoly, name), op))
+    a = SFractionCoeffs([1, q, 1 + q, q**2, q + q**2, q**3, 1 + q, q, q**2, 1 + q, q**3, q])
+    r = compare(a, 6)
+    assert all(ok for _, ok in r.diagnostics)
+    assert any(type(v) is QPoly for row in r.C.rows for v in row)
+    assert {c for c in calls if c[0] is not None} <= {("_hankel_pivots", "add")}
+    assert (None, "mul") in calls and (None, "add") in calls
