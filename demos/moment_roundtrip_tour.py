@@ -1,8 +1,9 @@
 """Tour: moving between moments, coefficients, and Hankel determinants.
 
-Shows the quotient-difference recovery on a few sequences, the two
-equivalent continued-fraction parameterizations, the two Hankel routes,
-and what breakdown looks like when a determinant vanishes.
+Shows the recovery of the coefficients from the moments on a few
+sequences, the two equivalent continued-fraction parameterizations, the
+two Hankel routes, and what breakdown looks like when a determinant
+vanishes.
 
     python3 demos/moment_roundtrip_tour.py
 """
@@ -64,8 +65,9 @@ def main():
     assert dets == prods
     print()
 
-    # recovery fails when an interior determinant vanishes: these
-    # moments are perfectly valid but the scheme divides by zero
+    # recovery fails when an interior determinant vanishes: h_1 = 0
+    # here, so no one-parameter form has these moments and a_3 does not
+    # exist
     bad = [1, 1, 1, 2, 5, 14]
     print("moments with a vanishing interior determinant:", bad)
     try:

@@ -1,7 +1,7 @@
 """Continued-fraction coefficient sequences and the algorithms tying them
 to moment sequences: conversion between the one-parameter and the
-two-parameter form, moment expansion, the quotient-difference scheme,
-and Hankel determinants read off the coefficients.
+two-parameter form, moment expansion and its inverse, and Hankel
+determinants read off the coefficients.
 
 Conventions: the one-parameter form
 1 / (1 - a1 x / (1 - a2 x / (1 - ...))) is indexed from a1; the
@@ -11,7 +11,8 @@ carries one more b than l.
 
 from __future__ import annotations
 
-from .ring import _check_scalars, field_div
+from .ring import _as_zq_pair, _check_scalars, _cleared, _in_zq, field_div
+from .triangle import _hankel_pivots
 
 __all__ = [
     "SFractionCoeffs",
@@ -32,14 +33,16 @@ class InsufficientCoefficients(ValueError):
 
 
 class QDBreakdownError(ArithmeticError):
-    """The quotient-difference scheme divided by zero.
+    """The moments have no one-parameter form up to coefficient ``depth``.
 
-    ``depth`` is the 1-based index of the coefficient that could not be
-    produced; a zero cell there means a vanishing determinant.
+    ``depth`` is the 1-based index of the coefficient that does not
+    exist: a_{2k+1} when the Hankel determinant h_k is zero, a_{2k} when
+    a_{2k-1} is zero.
     """
 
     def __init__(self, depth: int):
-        super().__init__(f"zero cell at coefficient {depth}")
+        cause = f"Hankel determinant h_{depth // 2}" if depth % 2 else f"a_{depth - 1}"
+        super().__init__(f"no coefficient {depth}: {cause} is 0")
         self.depth = depth
 
 
@@ -179,16 +182,16 @@ def moments_from_jfraction(j: JFractionCoeffs, count: int):
 
 
 def qd_sfraction_from_moments(mu) -> SFractionCoeffs:
-    """Recover a1 .. a_m from moments mu_0 .. mu_m by the
-    quotient-difference scheme.
+    """Recover a1 .. a_m from moments mu_0 .. mu_m (mu_0 = 1) by Chebyshev's
+    algorithm (Chebyshev 1859; Gautschi 1982) on the sweep of
+    ``hankel_transform``: b_0 + ... + b_k = nu_k / h_k, nu_k = nu_{k,k+1},
+    and l_k = h_k h_{k-2} / h_{k-1}^2, then ``s_to_j`` inverted.  Field
+    moments are cleared of their denominators first (the a_i of c mu are
+    those of mu), so each a_i is one field division of ring values.
 
-    Requires mu_0 = 1.  Raises QDBreakdownError when a needed divisor
-    cell is zero; a zero coefficient at the very end of the output
-    signals a vanishing determinant at the boundary instead.  The scheme
-    divides by shifted moments and their Hankel determinants, which is
-    more than the one-parameter form needs: 1, 1, 0, -1, -2 are the
-    moments of a = 1, -1, 1, 1 (Hankel determinants 1, -1, 1), yet
-    mu_2 = 0 stops the scheme at coefficient 3.
+    Raises QDBreakdownError exactly where no one-parameter form exists:
+    at a_{2k+1} when h_k = 0, at a_{2k} when a_{2k-1} = 0.  A zero a_m at
+    the end is returned: 1, 1, 1 gives a = 1, 0.
     """
     mu = list(mu)
     _check_scalars(mu, "moment coefficient")
@@ -196,29 +199,24 @@ def qd_sfraction_from_moments(mu) -> SFractionCoeffs:
         raise ValueError("empty moment list")
     if mu[0] != 1:
         raise ValueError("moment 0 must be 1")
-    m = len(mu) - 1
-    if m == 0:
-        return SFractionCoeffs([])
-    # q-columns and e-columns by superdiagonal sweeps
-    qcol = []
-    for n in range(m):
-        if mu[n] == 0:
-            raise QDBreakdownError(n + 1)
-        qcol.append(field_div(mu[n + 1], mu[n]))
-    out = [qcol[0]]
-    ecol = [0] * len(qcol)
-    while len(out) < m:
-        nxt_e = [qcol[n + 1] - qcol[n] + ecol[n + 1] for n in range(len(qcol) - 1)]
-        out.append(nxt_e[0])
-        if len(out) == m:
-            break
-        nxt_q = []
-        for n in range(len(nxt_e) - 1):
-            if nxt_e[n] == 0:
-                raise QDBreakdownError(len(out) + 1)
-            nxt_q.append(field_div(qcol[n + 1] * nxt_e[n + 1], nxt_e[n]))
-        out.append(nxt_q[0])
-        qcol, ecol = nxt_q, nxt_e
+    if not _in_zq(mu):
+        mu = _cleared(mu)[1]
+    h, nu = _hankel_pivots(mu, set(map(type, mu)))
+    # h[k + 1] = h_k, nu[k + 1] = nu_k; h_{-1} = 1, nu_{-1} = 0 and a_0 = 0
+    # make the odd formula give a_1 = nu_0 / h_0
+    h, nu = [1, *h], [0, *nu]
+    out, n, d = [], 0, 1
+    for i in range(1, len(mu)):
+        k = i // 2
+        if (h[k + 1] if i % 2 else n) == 0:
+            raise QDBreakdownError(i)
+        if i % 2:  # a_{2k+1} = b_k - a_{2k}, a_{2k} = n/d
+            hh = h[k + 1] * h[k]
+            a = field_div((nu[k + 1] * h[k] - nu[k] * h[k + 1]) * d - n * hh, hh * d)
+        else:  # a_{2k} = l_k / a_{2k-1}, a_{2k-1} = n/d
+            a = field_div(h[k + 1] * h[k - 1] * d, h[k] * h[k] * n)
+        out.append(a)
+        n, d = _as_zq_pair(a)
     return SFractionCoeffs(out)
 
 

@@ -521,8 +521,8 @@ def _build_parser() -> _Parser:
         "qd",
         parents=[common],
         help="recover coefficients from moments",
-        description="Quotient-difference extraction of the coefficient "
-        "sequence from a moment list (mu_0 must be 1).",
+        description="Chebyshev's algorithm on the Hankel sweep: the coefficient "
+        "sequence of a moment list (mu_0 must be 1), or exit 3 where none exists.",
     )
     d.add_argument(
         "--moments", required=True, help="comma-separated moments mu_0,mu_1,..."

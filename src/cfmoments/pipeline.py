@@ -31,10 +31,8 @@ from .cfrac import (
 from .ring import (
     ExactDivisionError,
     QPoly,
-    _as_zq_pair,
+    _cleared,
     _in_zq,
-    _zq_exact_div,
-    _zq_gcd,
     eval_q,
     exact_div,
     field_div,
@@ -251,11 +249,8 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
     terms = a.terms[: 2 * n]
     if _in_zq(terms):
         return _compare_ring(a, n)
-    pairs = [_as_zq_pair(t) for t in terms]
-    D = 1
-    for _, den in pairs:
-        D = _zq_exact_div(D * den, _zq_gcd(D, den))
-    r = _compare_ring(SFractionCoeffs([num * _zq_exact_div(D, den) for num, den in pairs]), n)
+    D, b = _cleared(terms)
+    r = _compare_ring(SFractionCoeffs(b), n)
     powers = [1]
     for _ in range(1, n):
         powers.append(powers[-1] * D)
@@ -775,7 +770,7 @@ def _hankel_and_qd_checks(a, mu_long, n, hankel_name, closed_form, qd_name) -> l
     """The Hankel determinants from the moments (the fraction-free
     three-term recurrence, with Bareiss elimination only when a leading
     minor vanishes; O(n^2)), by the product formula and in closed form
-    agree, and the qd scheme takes the moments back to the coefficients."""
+    agree, and qd takes the moments back to the coefficients."""
 
     def qd_round_trip():
         back = qd_sfraction_from_moments(mu_long).terms
@@ -918,7 +913,7 @@ def _qcase_numeric_checks(v: int, n: int) -> list:
     checks = _diagnostic_checks(r) + [
         ("specializes-symbolic-product", specializes_symbolic_product)
     ]
-    if v >= 1:
+    if v != 0:
         checks += [("qd-recovers-geometric-sequence", qd_recovers_geometric_sequence)]
     if v == 2:
         checks += _qcase_at_two_checks(r)

@@ -178,12 +178,10 @@ class QPoly:
         if type(n) is not int or n < 0:
             raise ValueError("exponent must be a nonnegative int")
         r = 1
-        b = self
-        while n:
-            if n & 1:
-                r = b * r
-            b = b * b
-            n >>= 1
+        for bit in f"{n:b}":
+            r = r * r
+            if bit == "1":
+                r = r * self
         return r
 
     def __eq__(self, other):
@@ -302,6 +300,16 @@ def _as_zq_pair(x):
     if t is QRat:
         return (x.num, x.den)
     return None
+
+
+def _cleared(values):
+    """(D, [D·v for v in values]) with D the lcm in Z or Z[q] of the
+    values' denominators, so that every D·v is an int or a QPoly."""
+    pairs = [_as_zq_pair(v) for v in values]
+    D = 1
+    for _, den in pairs:
+        D = _zq_exact_div(D * den, _zq_gcd(D, den))
+    return D, [num * _zq_exact_div(D, den) for num, den in pairs]
 
 
 class QRat:

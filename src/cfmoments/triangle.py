@@ -248,41 +248,43 @@ def _bareiss_det(m):
     return -v if sign < 0 else v
 
 
-def _hankel_pivots(mu, n, types):
-    """h_0 .. h_n by the fraction-free three-term recurrence, stopping
-    after the first h_k that is zero: the next step would divide by it.
+def _hankel_pivots(mu, types):
+    """h_0, h_1, ... and nu_{0,1}, nu_{1,2}, ... of the whole list by the
+    fraction-free three-term recurrence, stopping after the first h_k that
+    is zero: the next step would divide by it.
 
-    nu[j] holds det(rows 0..k-1 and j, cols 0..k) of (mu[r + c]), so
-    nu[k] = h_k; prev is the same row for k - 1.  Every division is exact
-    because each quotient is a minor, so over Z and Z[q] a wrong step
-    raises.  O(n^2) ring operations.  ``types`` are the types of
-    mu[: 2n + 1]; over Z[q] with a QPoly among them each of a cell's two
-    formulas is one ``_zq_dot``.
+    nu[j] holds nu_{k,j} = det(rows 0..k-1 and j, cols 0..k) of (mu[r + c]),
+    so nu[k] = h_k; prev is the same row for k - 1.  Every division is exact
+    because each quotient is a minor, so over Z and Z[q] a wrong step raises.
+    O(len(mu)^2) ring operations.  ``types`` are the types of mu; over Z[q]
+    with a QPoly among them each of a cell's two formulas is one ``_zq_dot``.
     """
-    prev, nu, hp = [0] * (2 * n + 1), list(mu[: 2 * n + 1]), 1
+    size = len(mu)
+    prev, nu, hp = [0] * size, list(mu), 1
     div = exact_div if _in_zq(nu) else field_div
     fused = _fuses(types)
-    pivots = []
-    for k in range(n):
+    pivots, nexts = [], []
+    for k in range((size + 1) // 2):
         h = nu[k]
         pivots.append(h)
-        if h == 0:
-            return pivots
+        if 2 * k + 1 < size:
+            nexts.append(nu[k + 1])
+        if h == 0 or 2 * k + 2 >= size:
+            break
         nk1, pk = nu[k + 1], prev[k]
-        nxt = [0] * (2 * n + 1)
+        nxt = [0] * size
         # b = det(rows 0..k-2, k and j, cols 0..k)
         if fused:
             nh, nnk1 = -h, -nk1
-            for j in range(k + 1, 2 * n - k):
+            for j in range(k + 1, size - 1 - k):
                 b = div(_zq_dot((pk, nh), (nu[j], prev[j])), hp)
                 nxt[j] = div(_zq_dot((h, nnk1), (nu[j + 1] + b, nu[j])), hp)
         else:
-            for j in range(k + 1, 2 * n - k):
+            for j in range(k + 1, size - 1 - k):
                 b = div(pk * nu[j] - h * prev[j], hp)
                 nxt[j] = div(h * (nu[j + 1] + b) - nk1 * nu[j], hp)
         prev, nu, hp = nu, nxt, h
-    pivots.append(nu[n])
-    return pivots
+    return pivots, nexts
 
 
 def hankel_det(mu, n: int):
@@ -303,7 +305,7 @@ def hankel_transform(mu, count: int):
     if len(mu) < need:
         raise ValueError(f"need {need} moments, got {len(mu)}")
     types = _check_scalars(mu[:need], "matrix entry")
-    dets = _hankel_pivots(mu, count - 1, types)
+    dets = _hankel_pivots(mu[:need], types)[0]
     for n in range(len(dets), count):
         dets.append(_bareiss_det([[mu[i + j] for j in range(n + 1)] for i in range(n + 1)]))
     return dets

@@ -464,6 +464,24 @@ def test_qd_symbolic(capsys):
     assert out == "1 q q^2\n"
 
 
+def test_qd_recovers_moments_with_a_vanishing_moment(capsys):
+    # mu_2 = 0, yet these are the moments of a = 1, -1, 1, 1
+    assert _run(["qd", "--moments", "1,1,0,-1,-2"], capsys) == (0, "1 -1 1 1\n", "")
+
+
+@pytest.mark.parametrize(
+    "moments, reason",
+    [
+        ("1,1,1,2", "no coefficient 3: Hankel determinant h_1 is 0"),
+        ("1,0,5", "no coefficient 2: a_1 is 0"),
+    ],
+)
+def test_qd_breakdown_names_the_vanishing_value(moments, reason, capsys):
+    assert _run(["qd", "--moments", moments], capsys) == (
+        3, "", f"precondition-error: {reason}\n"
+    )
+
+
 # --- golden files ----------------------------------------------------------
 
 _SPECS = {

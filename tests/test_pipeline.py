@@ -418,6 +418,16 @@ def test_verify_qcase_generic_value():
     assert "qd-recovers-geometric-sequence" in names
 
 
+@pytest.mark.parametrize("v", [-1, -2, -3])
+def test_verify_qcase_negative_value_recovers_the_sequence(v):
+    # at q = -1 the moments 1, 1, 0, -1, ... have a vanishing moment; the
+    # coefficients come back off the Hankel determinants, which do not vanish
+    rep = verify_example("qcase", 6, q_value=v)
+    assert rep.passed
+    status = {c.name: c.status for c in rep.checks}
+    assert status["qd-recovers-geometric-sequence"] == "pass"
+
+
 def test_verify_schroder_all_pass():
     rep = verify_example("schroder", 6)
     assert rep.passed

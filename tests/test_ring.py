@@ -35,6 +35,28 @@ def test_square_expansion():
     assert (1 + q) ** 2 == QPoly((1, 2, 1))
 
 
+def test_power_makes_no_product_past_the_last_bit(monkeypatch):
+    # binary powering: one squaring per bit below the top and one multiply
+    # per set bit below the top; the value equals the repeated product
+    p = QPoly.make([1, -2, 0, 3])
+    repeated = [1]
+    for _ in range(9):
+        repeated.append(repeated[-1] * p)
+    products = []
+    real = QPoly.__mul__
+
+    def counted(self, other):
+        if type(other) is QPoly:
+            products.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(QPoly, "__mul__", counted)
+    for e in range(10):
+        products.clear()
+        assert p**e == repeated[e]
+        assert len(products) == max(e.bit_length() - 1, 0) + max(bin(e).count("1") - 1, 0)
+
+
 def test_constant_demotion():
     assert QPoly.make((5,)) == 5
     assert isinstance(QPoly.make((5, 0, 0)), int)

@@ -259,6 +259,31 @@ def test_hankel_det_matches_cofactor_qq_random():
     _assert_matches_cofactor(_qq_entry, 34, 3)
 
 
+@pytest.mark.parametrize("size", range(1, 10))
+def test_hankel_sweep_nexts_are_the_shifted_minors(size):
+    # odd and even list lengths: h_k for 2k < size and
+    # nu_{k,k+1} = det(rows 0..k-1 and k+1, cols 0..k) for 2k + 1 < size,
+    # up to and including the first zero pivot
+    rng = random.Random(36 + size)
+    full = 0
+    for draw in (_int_entry, _fraction_entry, _poly_entry):
+        for _ in range(6):
+            mu = [draw(rng) for _ in range(size)]
+            pivots, nexts = triangle._hankel_pivots(mu, set(map(type, mu)))
+            want_h, want_nu = [], []
+            for k in range((size + 1) // 2):
+                cols = range(k + 1)
+                want_h.append(_cofactor_det([[mu[r + c] for c in cols] for r in cols]))
+                if 2 * k + 1 < size:
+                    rows = [*range(k), k + 1]
+                    want_nu.append(_cofactor_det([[mu[r + c] for c in cols] for r in rows]))
+                if want_h[-1] == 0:
+                    break
+            assert (pivots, nexts) == (want_h, want_nu)
+            full += len(pivots) == (size + 1) // 2 and len(nexts) == size // 2
+    assert full >= 12
+
+
 def _count_bareiss_calls(monkeypatch):
     calls = []
     real = triangle._bareiss_det
