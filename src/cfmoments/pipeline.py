@@ -901,9 +901,10 @@ def _qcase_numeric_checks(v: int, n: int) -> list:
     r = compare(a, nn)
 
     def specializes_symbolic_product():
-        # rebuilt on purpose: the symbolic product is this check's second route
-        sym = compare(_q_power_coeffs(12), 6)
-        ok = sym.C.map_entries(lambda s: eval_q(s, v)) == Triangle(r.C.rows[:6])
+        # built on purpose: the symbolic product is this check's second route
+        sym = _q_power_coeffs(12)
+        C = mul(invert(build_N_via_behead(sym, 6)[0]), build_M(sym, 6)[0])
+        ok = C.map_entries(lambda s: eval_q(s, v)) == Triangle(r.C.rows[:6])
         return ok, f"evaluated at q={v}"
 
     def qd_recovers_geometric_sequence():

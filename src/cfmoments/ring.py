@@ -14,20 +14,29 @@ monomial factor scales and shifts the other one, and any other product
 is schoolbook.  Division takes the divisor's power of q off both sides,
 returns at once when 1 is left, and otherwise long-divides, which for a
 constant is one divmod per coefficient.  The q-case divides almost only
-by monomials: its Hankel determinants are powers of q.
+by monomials: its column divisors are powers of q.
 
 A sum of products Σ x·y whose operands are all ints and QPolys, one of
 them at least a QPoly, runs as one fused kernel (``_zq_dot``) that adds
 every term into one coefficient list, with the same shape rules.  The
-triangle kernels and the Z[q] Hankel sweep choose it once per call from
-their operands' types; int and field operands keep the operator fold.
+triangle kernels choose it once per call from their operands' types;
+int and field operands keep the operator fold.
+
+The Z[q] Hankel sweep runs on integers instead (Kronecker substitution):
+``_zq_pack`` maps a value to its image under q -> 2^(64m), one
+coefficient per slot of 64m bits laid out through ``array('q')`` and
+``int.from_bytes``, and ``_zq_slots`` and ``_zq_unpack`` read the
+coefficients back the same way.  All three are linear in the number of
+coefficients.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from array import array
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 
 __all__ = [
@@ -386,9 +395,16 @@ class QRat:
     def __pow__(self, n):
         if type(n) is not int:
             raise ValueError("exponent must be an int")
-        if n < 0:
-            return QRat.make(self.den ** (-n), self.num ** (-n))
-        return QRat.make(self.num**n, self.den**n)
+        # powers of the coprime num and den are coprime, so no gcd is needed
+        num, den = (self.num**n, self.den**n) if n >= 0 else (self.den**-n, self.num**-n)
+        if _zq_coeffs(den)[-1] < 0:
+            num, den = -num, -den
+        if den == 1:
+            return num
+        r = object.__new__(QRat)
+        r.num = num
+        r.den = den
+        return r
 
     def __eq__(self, other):
         p = _as_zq_pair(other)
@@ -488,6 +504,66 @@ def _zq_dot(xs, ys):
         else:
             acc[top - 1] += c * p[-1]
     return acc[0] if len(acc) == 1 else QPoly._from_ints(acc)
+
+
+# array('q') holds its items in native byte order; the packed integers
+# are read and written little-endian
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+@lru_cache(maxsize=256)
+def _zq_bias(n, m):
+    """The integer whose n slots of 64m bits each hold 2^(64m-1)."""
+    return int.from_bytes((1 << (64 * m - 1)).to_bytes(8 * m, "little") * n, "little")
+
+
+def _zq_pack(x, m):
+    """Image of an int or QPoly under q -> 2^(64m), for coefficients that
+    fit a slot of 64m bits, -2^(64m-1) <= c < 2^(64m-1); OverflowError
+    otherwise.  The coefficients are laid out in two's complement, one per
+    slot, and read as one integer y.  Flipping every slot's top bit
+    (XOR with the bias B) biases each c to c + 2^(64m-1) >= 0, and
+    subtracting B takes the bias off all slots at once."""
+    if type(x) is int:
+        if x.bit_length() >= 64 * m and x != -1 << (64 * m - 1):
+            raise OverflowError("coefficient does not fit a slot")
+        return x
+    cs = x.coeffs
+    if m == 1:
+        slots = array("q", cs)
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        raw = slots.tobytes()
+    else:
+        raw = b"".join([c.to_bytes(8 * m, "little", signed=True) for c in cs])
+    bias = _zq_bias(len(cs), m)
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _zq_slots(x, m):
+    """The coefficients c_i, lowest first, of the one expansion
+    x = Σ c_i·2^(64m·i) with every c_i in [-2^(64m-1), 2^(64m-1)): the
+    steps of ``_zq_pack`` backwards.  The last may be a zero.  For m = 1 an
+    ``array('q')`` filled from the bytes in C."""
+    n = (x.bit_length() + 1) // (64 * m) + 1
+    bias = _zq_bias(n, m)
+    raw = ((x + bias) ^ bias).to_bytes(8 * m * n, "little")
+    if m == 1:
+        slots = array("q")
+        slots.frombytes(raw)
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        return slots
+    w = 8 * m
+    return [int.from_bytes(raw[i : i + w], "little", signed=True) for i in range(0, len(raw), w)]
+
+
+def _zq_unpack(x, m):
+    """The int or QPoly whose image under q -> 2^(64m) is x, among those
+    whose coefficients all fit a slot (there is exactly one)."""
+    if x.bit_length() < 64 * m:
+        return x
+    return QPoly._from_ints(list(_zq_slots(x, m)))
 
 
 def _require_scalar(x):

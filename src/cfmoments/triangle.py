@@ -8,14 +8,33 @@ minor vanishes.
 
 Everything is exact; entries are ring scalars and all divisions either
 stay in the ring or raise.  Over Z[q], with a QPoly among the operands,
-each entry of generate, invert and mul, and each of the two formulas of
-a Hankel cell, is one fused sum of products (``ring._zq_dot``); other
-operands fold ``s = s + x*y`` inline.
+each entry of generate, invert and mul is one fused sum of products
+(``ring._zq_dot``); other operands fold ``s = s + x*y`` inline.  The
+Hankel sweep over Z and Z[q] runs on Python ints: Z[q] moments are
+packed at q -> 2^64 (Kronecker substitution), every quotient is checked
+from its 64-bit slots, and the sweep reruns with wider slots when a
+check fails.
 """
 
 from __future__ import annotations
 
-from .ring import _check_scalars, _fuses, _in_zq, _zq_dot, exact_div, field_div
+import math
+
+from .ring import (
+    _ZQ_TYPES,
+    ExactDivisionError,
+    QPoly,
+    _check_scalars,
+    _fuses,
+    _in_zq,
+    _zq_coeffs,
+    _zq_dot,
+    _zq_pack,
+    _zq_slots,
+    _zq_unpack,
+    exact_div,
+    field_div,
+)
 
 __all__ = [
     "Triangle",
@@ -251,18 +270,38 @@ def _bareiss_det(m):
 def _hankel_pivots(mu, types):
     """h_0, h_1, ... and nu_{0,1}, nu_{1,2}, ... of the whole list by the
     fraction-free three-term recurrence, stopping after the first h_k that
-    is zero: the next step would divide by it.
+    is zero: the next step would divide by it.  O(len(mu)^2) ring
+    operations; ``types`` are the types of mu.
 
-    nu[j] holds nu_{k,j} = det(rows 0..k-1 and j, cols 0..k) of (mu[r + c]),
-    so nu[k] = h_k; prev is the same row for k - 1.  Every division is exact
-    because each quotient is a minor, so over Z and Z[q] a wrong step raises.
-    O(len(mu)^2) ring operations.  ``types`` are the types of mu; over Z[q]
-    with a QPoly among them each of a cell's two formulas is one ``_zq_dot``.
+    Field moments divide by ``field_div``.  Over Z and Z[q] the sweep runs
+    on ints (``_int_sweep``): Z[q] moments are packed at q -> 2^(64m) and
+    the pivots and nexts unpacked at the end.  When a quotient fails its
+    slot check, or a moment's coefficient does not fit a slot, the whole
+    sweep reruns with slots twice as wide.
     """
+    if not types <= _ZQ_TYPES:
+        return _field_sweep(mu)
+    if QPoly not in types:
+        return _int_sweep(mu, 0)
+    m = 1
+    while True:
+        try:
+            got = _int_sweep([_zq_pack(v, m) for v in mu], m)
+        except OverflowError:  # a moment's coefficient does not fit a slot
+            got = None
+        if got is not None:
+            return tuple([_zq_unpack(v, m) for v in vs] for vs in got)
+        if m >= _widest_slots(mu):
+            raise ExactDivisionError("a step of the Hankel sweep is not exact in Z[q]")
+        m *= 2
+
+
+def _field_sweep(mu):
+    """The sweep over a field.  nu[j] holds nu_{k,j} = det(rows 0..k-1 and
+    j, cols 0..k) of (mu[r + c]), so nu[k] = h_k; prev is the same row for
+    k - 1."""
     size = len(mu)
     prev, nu, hp = [0] * size, list(mu), 1
-    div = exact_div if _in_zq(nu) else field_div
-    fused = _fuses(types)
     pivots, nexts = [], []
     for k in range((size + 1) // 2):
         h = nu[k]
@@ -273,18 +312,123 @@ def _hankel_pivots(mu, types):
             break
         nk1, pk = nu[k + 1], prev[k]
         nxt = [0] * size
-        # b = det(rows 0..k-2, k and j, cols 0..k)
-        if fused:
-            nh, nnk1 = -h, -nk1
-            for j in range(k + 1, size - 1 - k):
-                b = div(_zq_dot((pk, nh), (nu[j], prev[j])), hp)
-                nxt[j] = div(_zq_dot((h, nnk1), (nu[j + 1] + b, nu[j])), hp)
-        else:
-            for j in range(k + 1, size - 1 - k):
-                b = div(pk * nu[j] - h * prev[j], hp)
-                nxt[j] = div(h * (nu[j + 1] + b) - nk1 * nu[j], hp)
+        for j in range(k + 1, size - 1 - k):
+            # b = det(rows 0..k-2, k and j, cols 0..k)
+            b = field_div(pk * nu[j] - h * prev[j], hp)
+            nxt[j] = field_div(h * (nu[j + 1] + b) - nk1 * nu[j], hp)
         prev, nu, hp = nu, nxt, h
     return pivots, nexts
+
+
+def _int_sweep(nu, m):
+    """``_field_sweep`` on ints, each division an inline divmod: every
+    quotient is a minor, so a remainder means a step was not exact and
+    raises ExactDivisionError.
+
+    m = 0: nu are integer moments.  m >= 1: nu are the images of Z[q]
+    moments under phi: q -> 2^(64m), a ring homomorphism, so an exact Z[q]
+    quotient is an exact integer quotient.  A zero remainder is not proof
+    by itself, so each quotient z of a numerator x by the pivot hp is
+    checked from its slots: x's coefficients, bounded from its operands'
+    norms and lengths, and those of hp·z, bounded by len(hp)·|hp|·|z|, all
+    fit a slot.  Then hp·z and x are the same polynomial, as their images
+    agree.  Returns None on a failed check.  A pivot c·q^s has the image
+    c·2^(64ms), so a product with it is one multiplication by c and one
+    shift, and a division by it checks that the low 64ms bits are zero,
+    shifts them off and divides by c.
+    """
+    size = len(nu)
+    prev, pivots, nexts = [0] * size, [], []
+    hs = shift = low = 0
+    hp = 1
+    if m:
+        w = 64 * m
+        lim = 1 << (w - 1)
+
+        def norm(x):
+            """|x|_inf of the polynomial with image x."""
+            return max(map(abs, _zq_slots(x, m)))
+
+        def length(x):
+            """At most one more than the length of the polynomial with image x."""
+            return (x.bit_length() + 1) // w + 1
+
+        nn, pn = [norm(v) for v in nu], [0] * size  # norms of nu and prev
+        most = lim - 1  # the largest quotient norm that passes: hp = 1
+    for k in range((size + 1) // 2):
+        h = nu[k]
+        pivots.append(h)
+        if 2 * k + 1 < size:
+            nexts.append(nu[k + 1])
+        if h == 0 or 2 * k + 2 >= size:
+            break
+        nk1, pk = nu[k + 1], prev[k]
+        hd = h
+        if m:
+            # h = hd << hs: h is the image of q^s·g with g(0) != 0, and
+            # 0 < |g(0)| <= 2^(64m-1) ends in fewer than 64m zero bits, so
+            # hs = 64m·s and hd is the image of g
+            v = (h & -h).bit_length() - 1
+            hs = v - v % w
+            hd = h >> hs
+            # |pk·y|, |h·y| and |nk1·y| are at most c1, c2 and c3 times |y|
+            c1, c2, c3 = length(pk) * pn[k], length(h) * nn[k], length(nk1) * nn[k + 1]
+            xn = [0] * size
+        nxt = [0] * size
+        for j in range(k + 1, size - 1 - k):
+            # b = det(rows 0..k-2, k and j, cols 0..k)
+            x = pk * nu[j] - (hd * prev[j] << hs)
+            if shift:
+                if x & low:
+                    raise _inexact(k)
+                x >>= shift
+            b, r = divmod(x, hp)
+            if r:
+                raise _inexact(k)
+            x = (hd * (nu[j + 1] + b) << hs) - nk1 * nu[j]
+            if shift:
+                if x & low:
+                    raise _inexact(k)
+                x >>= shift
+            z, r = divmod(x, hp)
+            if r:
+                raise _inexact(k)
+            if m:
+                bn, zn = norm(b), norm(z)
+                if (
+                    bn > most
+                    or zn > most
+                    or c1 * nn[j] + c2 * pn[j] >= lim
+                    or c2 * (nn[j + 1] + bn) + c3 * nn[j] >= lim
+                ):
+                    return None
+                xn[j] = zn
+            nxt[j] = z
+        prev, nu, shift, hp = nu, nxt, hs, hd
+        low = (1 << shift) - 1
+        if m:
+            pn, nn, most = nn, xn, (lim - 1) // c2
+    return pivots, nexts
+
+
+def _inexact(k):
+    return ExactDivisionError(f"a step-{k} minor of the Hankel sweep is not divisible by h_{k - 1}")
+
+
+def _widest_slots(mu):
+    """A slot count m at which a sweep of Z[q] moments whose every step is
+    exact passes all the slot checks, so that one failing there has a step
+    that is not, and no wider rerun is needed.  Every value of the sweep
+    is a minor of at most K rows, of moments of norm <= A and length <= L:
+    it has norm <= K!·L^(K-1)·A^K and fewer than K·L + 1 coefficients, and
+    every bound the checks compare is below 4·(K·L + 1) times its square."""
+    k = (len(mu) + 1) // 2
+    cs = [_zq_coeffs(v) for v in mu]
+    a = max([1] + [max(map(abs, c)) for c in cs])
+    length = max(map(len, cs))
+    most = math.factorial(k) * length ** (k - 1) * a**k
+    bits = (4 * (k * length + 1) * most * most).bit_length() + 1
+    return -(-bits // 64)
 
 
 def hankel_det(mu, n: int):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfmoments import ring
 from cfmoments.cfrac import SFractionCoeffs
 from cfmoments.ring import (
     DigitLimitError,
@@ -16,6 +17,9 @@ from cfmoments.ring import (
     ScalarParseError,
     _zq_dot,
     _zq_gcd,
+    _zq_pack,
+    _zq_slots,
+    _zq_unpack,
     eval_q,
     exact_div,
     field_div,
@@ -529,3 +533,56 @@ def test_constructors_check_coefficient_types():
             QPoly(bad)
         with pytest.raises(TypeError):
             QPoly.make(bad)
+
+
+def _reference_power(x, n):
+    return QRat.make(x.num**n, x.den**n) if n >= 0 else QRat.make(x.den**-n, x.num**-n)
+
+
+def test_qrat_power_skips_the_gcd_and_matches_make_random(monkeypatch):
+    rng = random.Random(20261023)
+    quotients = []
+    while len(quotients) < 120:
+        num = rng.choice((
+            rng.choice((1, -1)),  # a unit
+            -QPoly.make([rng.randrange(-5, 6) for _ in range(rng.randrange(1, 5))] + [1]),
+            _random_zq(rng),
+        ))
+        den = rng.choice((rng.choice((2, -3, 5)), _random_zq(rng)))
+        if num != 0 and den != 0 and type(QRat.make(num, den)) is QRat:
+            quotients.append(QRat.make(num, den))
+    assert any(type(x.den) is int for x in quotients)
+    assert any(_coeff_list(x.num)[-1] < 0 for x in quotients)
+    assert any(x.num in (1, -1) for x in quotients)
+    wants = [[_reference_power(x, n) for n in range(-5, 6)] for x in quotients]
+    gcds = []
+    monkeypatch.setattr(ring, "_zq_gcd", lambda x, y: gcds.append(1) or _zq_gcd(x, y))
+    for x, want in zip(quotients, wants):
+        for n, w in zip(range(-5, 6), want):
+            got = x**n
+            assert type(got) is type(w) and got == w and render(got) == render(w), (x, n)
+    assert gcds == []
+
+
+def test_zq_pack_is_a_ring_homomorphism_and_unpack_inverts_it_random():
+    rng = random.Random(20261024)
+    for m in (1, 2, 3):
+        half = 1 << (64 * m - 1)
+        for edge in (half - 1, -half, QPoly.make([-half, half - 1, -half])):
+            assert _zq_unpack(_zq_pack(edge, m), m) == edge
+        for bad in (half, -half - 1, QPoly.make([0, half])):
+            with pytest.raises(OverflowError):
+                _zq_pack(bad, m)
+        for _ in range(200):
+            bits = rng.choice((2, 30, 64 * m - 1))
+            x, y = (
+                QPoly.make([rng.randrange(-(2**bits), 2**bits) for _ in range(rng.randrange(1, 9))])
+                for _ in range(2)
+            )
+            for v in (x, y, 0):
+                got = _zq_unpack(_zq_pack(v, m), m)
+                assert type(got) is type(v) and got == v
+                assert list(_zq_slots(_zq_pack(v, m), m))[: len(_coeff_list(v))] == _coeff_list(v)
+            if bits == 2:
+                assert _zq_pack(x * y, m) == _zq_pack(x, m) * _zq_pack(y, m)
+                assert _zq_pack(x - y, m) == _zq_pack(x, m) - _zq_pack(y, m)

@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from cfmoments import triangle
+from cfmoments import ring, triangle
 from cfmoments.cfrac import SFractionCoeffs, hankel_from_sfraction, moments_from_sfraction
 from cfmoments.pipeline import compare
-from cfmoments.ring import ExactDivisionError, QPoly, QRat, field_div, q
+from cfmoments.ring import ExactDivisionError, QPoly, QRat, exact_div, field_div, q
 from cfmoments.triangle import (
     ProductionMatrix,
     Triangle,
@@ -432,30 +432,204 @@ def test_kernels_match_the_operator_fold_random():
                 assert _typed([got]) == _typed([dets])
 
 
-def test_zq_compare_kernels_make_no_qpoly_product_or_sum(monkeypatch):
-    # every entry of generate, invert and mul is one fused sum of products,
-    # and so is each formula of a Hankel cell (whose one add is inside a
-    # factor): a QPoly product below them, or a sum below the three matrix
-    # kernels, means a kernel fell back to the operator fold
-    kernels = {f.__code__: f.__name__ for f in (generate, invert, mul, triangle._hankel_pivots)}
+def _stack_spies(monkeypatch, kernel_fns):
+    """Calls of QPoly products and sums and of the Z[q] division and dot
+    kernels, each tagged with the innermost of ``kernel_fns`` on the stack
+    (None when none of them is)."""
+    kernels = {f.__code__: f.__name__ for f in kernel_fns}
     calls = []
 
-    def counted(method, op):
-        def spy(self, other):
+    def counted(fn, op):
+        def spy(*args):
             frame = sys._getframe(1)
             while frame is not None and frame.f_code not in kernels:
                 frame = frame.f_back
             calls.append((None if frame is None else kernels[frame.f_code], op))
-            return method(self, other)
+            return fn(*args)
 
         return spy
 
     for name, op in (("__mul__", "mul"), ("__rmul__", "mul"), ("__add__", "add"),
                      ("__radd__", "add")):
         monkeypatch.setattr(QPoly, name, counted(getattr(QPoly, name), op))
+    for module, name in ((triangle, "exact_div"), (ring, "_zq_exact_div"),
+                         (triangle, "_zq_dot"), (ring, "_zq_dot")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name), name))
+    return calls
+
+
+def test_zq_compare_kernels_make_no_qpoly_product_or_sum(monkeypatch):
+    # every entry of generate, invert and mul is one fused sum of products,
+    # and the Hankel sweep runs on packed ints: a QPoly product or sum below
+    # any of them means a kernel fell back to the operator fold, and the
+    # sweep makes no Z[q] division and no fused sum either
+    calls = _stack_spies(monkeypatch, (generate, invert, mul, triangle._hankel_pivots))
     a = SFractionCoeffs([1, q, 1 + q, q**2, q + q**2, q**3, 1 + q, q, q**2, 1 + q, q**3, q])
     r = compare(a, 6)
     assert all(ok for _, ok in r.diagnostics)
     assert any(type(v) is QPoly for row in r.C.rows for v in row)
-    assert {c for c in calls if c[0] is not None} <= {("_hankel_pivots", "add")}
+    assert {c for c in calls if c[0] is not None and c[1] in ("mul", "add")} == set()
+    assert {c for c in calls if c[0] == "_hankel_pivots"} == set()
     assert (None, "mul") in calls and (None, "add") in calls
+    assert ("mul", "_zq_dot") in calls and (None, "exact_div") in calls
+
+
+def test_int_sweep_makes_no_exact_div_call(monkeypatch):
+    calls = _stack_spies(monkeypatch, (triangle._hankel_pivots,))
+    a = SFractionCoeffs([1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1])
+    assert hankel_det(moments_from_sfraction(a, 15), 7) == hankel_from_sfraction(a, 8)[7]
+    assert compare(a, 8).diagnostics
+    assert ("_hankel_pivots", "exact_div") not in calls
+    assert (None, "exact_div") in calls
+
+
+# -- the Hankel sweep against the polynomial loop --------------------------------
+
+
+def _hankel_pivots_ref(mu):
+    """The sweep on ring values with the operator fold, every division
+    ``exact_div`` over Z and Z[q] and ``field_div`` otherwise: the
+    reference oracle for ``triangle._hankel_pivots``."""
+    size = len(mu)
+    prev, nu, hp = [0] * size, list(mu), 1
+    div = exact_div if all(type(v) in (int, QPoly) for v in mu) else field_div
+    pivots, nexts = [], []
+    for k in range((size + 1) // 2):
+        h = nu[k]
+        pivots.append(h)
+        if 2 * k + 1 < size:
+            nexts.append(nu[k + 1])
+        if h == 0 or 2 * k + 2 >= size:
+            break
+        nk1, pk = nu[k + 1], prev[k]
+        nxt = [0] * size
+        for j in range(k + 1, size - 1 - k):
+            b = div(pk * nu[j] - h * prev[j], hp)
+            nxt[j] = div(h * (nu[j + 1] + b) - nk1 * nu[j], hp)
+        prev, nu, hp = nu, nxt, h
+    return pivots, nexts
+
+
+def _sweep_widths(monkeypatch):
+    """The slot widths m of every packed sweep, in order."""
+    widths = []
+    real = triangle._int_sweep
+
+    def spy(nu, m):
+        widths.append(m)
+        return real(nu, m)
+
+    monkeypatch.setattr(triangle, "_int_sweep", spy)
+    return widths
+
+
+def _wide_entry(rng):
+    # signed coefficients up to 2^70, past a 64-bit slot
+    cs = [rng.randrange(-(2**70), 2**70 + 1) for _ in range(rng.randrange(1, 4))]
+    return QPoly.make(cs) if rng.randrange(3) else cs[0]
+
+
+def _small_zq_entry(rng):
+    return rng.choice((0, 1, -1, 2, q, 1 + q, 1 - q, q**2))
+
+
+def _atom_moments(rng, size):
+    # mu_k = sum of c·x^k over r atoms: the Hankel matrix has rank at most
+    # r, so h_r = 0; ints and QPolys mixed
+    atoms = [(rng.choice((1, -1, 2, q)), _small_zq_entry(rng)) for _ in range(rng.randrange(1, 4))]
+    return [sum(c * x**k for c, x in atoms) for k in range(size)]
+
+
+def _monomial_pivot_moments(rng, size):
+    # a_i = c·q^e gives the pivots h_n = prod (a_{2k+1} a_{2k+2})^(n-k),
+    # monomials c·q^m with |c| > 1 for all but h_0 and m up to 32
+    a = [1] + [rng.choice((2, -2, 3, -3)) * q ** rng.randrange(3) for _ in range(size)]
+    return list(moments_from_sfraction(SFractionCoeffs(a), size))
+
+
+def test_hankel_sweep_matches_the_polynomial_loop_random(monkeypatch):
+    widths = _sweep_widths(monkeypatch)
+    rng = random.Random(20261018)
+    seen = {"wide": 0, "zero": 0, "monomial": 0}
+    for _ in range(60):
+        size = rng.randrange(1, 10)
+        for kind, mu in (
+            ("wide", [_wide_entry(rng) for _ in range(size)]),
+            ("zero", _atom_moments(rng, size)),
+            ("monomial", _monomial_pivot_moments(rng, size)),
+        ):
+            widths.clear()
+            got = triangle._hankel_pivots(mu, set(map(type, mu)))
+            want = _hankel_pivots_ref(mu)
+            assert _typed(got) == _typed(want), mu
+            if kind == "wide" and QPoly in set(map(type, mu)):
+                seen[kind] += widths[-1] > 1
+            elif kind == "zero":
+                seen[kind] += len(want[0]) > 1 and want[0][-1] == 0
+            elif kind == "monomial":
+                seen[kind] += any(
+                    type(h) is QPoly and abs(h.coeffs[-1]) > 1 and not any(h.coeffs[:-1])
+                    for h in want[0]
+                )
+    assert min(seen.values()) >= 10, seen
+
+
+def _off_by_one_in_one_step(monkeypatch):
+    """Make the first division by a pivot other than 1 or -1 take a
+    numerator one too large, which no pivot of two or more divides."""
+    bumped = []
+
+    def inexact_divmod(x, d):
+        if abs(d) > 1 and not bumped:
+            bumped.append(d)
+            x += 1
+        return divmod(x, d)
+
+    monkeypatch.setattr(triangle, "divmod", inexact_divmod, raising=False)
+    return bumped
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        [1, 1, 3, 11, 45, 197, 903],
+        # h_1 = a_1 a_2 = 2 + q, and then the monomial 2q
+        moments_from_sfraction(SFractionCoeffs([1, 2 + q, 3 * q, 1 + q, 2, q]), 7),
+        moments_from_sfraction(SFractionCoeffs([1, 2 * q, 3, q**2, 2, q]), 7),
+    ],
+)
+def test_an_inexact_sweep_step_raises(monkeypatch, mu):
+    assert _hankel_pivots_ref(mu)
+    bumped = _off_by_one_in_one_step(monkeypatch)
+    with pytest.raises(ExactDivisionError):
+        triangle._hankel_pivots(mu, set(map(type, mu)))
+    assert bumped
+
+
+def test_a_sweep_failing_every_check_stops_at_the_widest_slots(monkeypatch):
+    # a sweep whose every step were exact would pass at _widest_slots(mu),
+    # so failing there too means a step that is not
+    mu = moments_from_sfraction(SFractionCoeffs([1, 2 + q, 3 * q, 1 + q, 2, q, 3, q]), 9)
+    tried = []
+
+    def failing(nu, m):
+        tried.append(m)
+
+    monkeypatch.setattr(triangle, "_int_sweep", failing)
+    with pytest.raises(ExactDivisionError):
+        triangle._hankel_pivots(mu, set(map(type, mu)))
+    cap = triangle._widest_slots(mu)
+    assert cap > 1 and tried == [2**i for i in range(len(tried))]
+    assert tried[-2] < cap <= tried[-1]
+
+
+def test_an_exact_sweep_passes_every_check_at_the_widest_slots():
+    rng = random.Random(20261022)
+    for _ in range(40):
+        mu = [_small_zq_entry(rng) for _ in range(rng.randrange(1, 10))]
+        m = triangle._widest_slots(mu)
+        got = triangle._int_sweep([ring._zq_pack(v, m) for v in mu], m)
+        assert got is not None
+        assert [[ring._zq_unpack(v, m) for v in vs] for vs in got] == list(
+            _hankel_pivots_ref(mu)
+        )
