@@ -1,7 +1,9 @@
 """Continued-fraction coefficient sequences and the algorithms tying them
 to moment sequences: conversion between the one-parameter and the
 two-parameter form, moment expansion and its inverse, and Hankel
-determinants read off the coefficients.
+determinants read off the coefficients.  Fraction and Q(q) input is
+cleared of its denominators, so the moment sweep and the Hankel sweep
+run over Z or Z[q], and each result is divided back once.
 
 Conventions: the one-parameter form
 1 / (1 - a1 x / (1 - a2 x / (1 - ...))) is indexed from a1; the
@@ -120,7 +122,9 @@ def moments_from_sfraction(s: SFractionCoeffs, count: int):
     up step weighs 1 and a down step from height h weighs a_h (Flajolet
     1980).  One sweep over the 2(count - 1) steps keeps, per height, the
     weight of the paths that end there: O(count^2) ring operations, and
-    no division, so moments stay in the base ring.
+    no division over Z and Z[q].  Field terms are cleared first: mu_k is
+    homogeneous of degree k in the a_i, so the sweep runs on b_i = D a_i
+    (``ring._cleared``) and mu_k is divided back once by D^k.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -128,7 +132,10 @@ def moments_from_sfraction(s: SFractionCoeffs, count: int):
         raise InsufficientCoefficients(
             f"need {count - 1} coefficients for {count} moments, got {len(s.terms)}"
         )
-    a = s.terms
+    a = s.terms[: count - 1]
+    field = not _in_zq(a)
+    if field:
+        D, a = _cleared(a)
     steps = 2 * (count - 1)
     # w[h]: weight of the paths of the current length ending at height h.
     # A step only writes heights of its own parity and reads the other
@@ -145,6 +152,8 @@ def moments_from_sfraction(s: SFractionCoeffs, count: int):
                 w[h] = w[h - 1]
         if t % 2 == 0:
             mu.append(w[0])
+    if field:
+        return mu[:1] + [field_div(mu[k], D**k) for k in range(1, count)]
     return mu
 
 

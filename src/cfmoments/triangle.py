@@ -10,10 +10,11 @@ Everything is exact; entries are ring scalars and all divisions either
 stay in the ring or raise.  Over Z[q], with a QPoly among the operands,
 each entry of generate, invert and mul is one fused sum of products
 (``ring._zq_dot``); other operands fold ``s = s + x*y`` inline.  The
-Hankel sweep over Z and Z[q] runs on Python ints: Z[q] moments are
-packed at q -> 2^64 (Kronecker substitution), every quotient is checked
-from its 64-bit slots, and the sweep reruns with wider slots when a
-check fails.
+Hankel sweep runs on Python ints: Z[q] moments are packed at q -> 2^64
+(Kronecker substitution), every quotient is checked from its 64-bit
+slots, and the sweep reruns with wider slots when a check fails.  Field
+moments are cleared of their denominators first and each result divided
+back once.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .ring import (
     ExactDivisionError,
     QPoly,
     _check_scalars,
+    _cleared,
     _fuses,
     _in_zq,
     _zq_coeffs,
@@ -273,14 +275,18 @@ def _hankel_pivots(mu, types):
     is zero: the next step would divide by it.  O(len(mu)^2) ring
     operations; ``types`` are the types of mu.
 
-    Field moments divide by ``field_div``.  Over Z and Z[q] the sweep runs
-    on ints (``_int_sweep``): Z[q] moments are packed at q -> 2^(64m) and
-    the pivots and nexts unpacked at the end.  When a quotient fails its
-    slot check, or a moment's coefficient does not fit a slot, the whole
-    sweep reruns with slots twice as wide.
+    The sweep runs on ints (``_int_sweep``): Z[q] moments are packed at
+    q -> 2^(64m) and the pivots and nexts unpacked at the end.  When a
+    quotient fails its slot check, or a moment's coefficient does not fit
+    a slot, the whole sweep reruns with slots twice as wide.  Field
+    moments are cleared first (``ring._cleared``): h_k and nu_{k,k+1} are
+    minors of k + 1 rows, so those of D·mu are D^(k+1) times those of mu,
+    and each is divided back once.
     """
     if not types <= _ZQ_TYPES:
-        return _field_sweep(mu)
+        D, mu = _cleared(mu)
+        got = _hankel_pivots(mu, set(map(type, mu)))
+        return tuple([field_div(v, D ** (k + 1)) for k, v in enumerate(vs)] for vs in got)
     if QPoly not in types:
         return _int_sweep(mu, 0)
     m = 1
@@ -296,34 +302,12 @@ def _hankel_pivots(mu, types):
         m *= 2
 
 
-def _field_sweep(mu):
-    """The sweep over a field.  nu[j] holds nu_{k,j} = det(rows 0..k-1 and
-    j, cols 0..k) of (mu[r + c]), so nu[k] = h_k; prev is the same row for
-    k - 1."""
-    size = len(mu)
-    prev, nu, hp = [0] * size, list(mu), 1
-    pivots, nexts = [], []
-    for k in range((size + 1) // 2):
-        h = nu[k]
-        pivots.append(h)
-        if 2 * k + 1 < size:
-            nexts.append(nu[k + 1])
-        if h == 0 or 2 * k + 2 >= size:
-            break
-        nk1, pk = nu[k + 1], prev[k]
-        nxt = [0] * size
-        for j in range(k + 1, size - 1 - k):
-            # b = det(rows 0..k-2, k and j, cols 0..k)
-            b = field_div(pk * nu[j] - h * prev[j], hp)
-            nxt[j] = field_div(h * (nu[j + 1] + b) - nk1 * nu[j], hp)
-        prev, nu, hp = nu, nxt, h
-    return pivots, nexts
-
-
 def _int_sweep(nu, m):
-    """``_field_sweep`` on ints, each division an inline divmod: every
-    quotient is a minor, so a remainder means a step was not exact and
-    raises ExactDivisionError.
+    """The sweep on ints.  nu[j] holds nu_{k,j} = det(rows 0..k-1 and j,
+    cols 0..k) of (mu[r + c]), so nu[k] = h_k; prev is the same row for
+    k - 1.  Each division is an inline divmod: every quotient is a minor,
+    so a remainder means a step was not exact and raises
+    ExactDivisionError.
 
     m = 0: nu are integer moments.  m >= 1: nu are the images of Z[q]
     moments under phi: q -> 2^(64m), a ring homomorphism, so an exact Z[q]

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfmoments import pipeline
+from cfmoments import cfrac, pipeline
 from cfmoments.cfrac import (
     SFractionCoeffs,
     moments_from_jfraction,
@@ -63,6 +63,29 @@ def test_path_moments_match_every_other_route(ring):
             assert mu == list(N.column(0))
             assert P == production_of(N)
         assert mu == _nested_reciprocal_moments(a.terms, count)
+
+
+def test_field_terms_run_the_path_sweep_over_zq(monkeypatch):
+    # Q(q) terms are cleared to b_i = D a_i and mu_k divided back by D^k:
+    # no QRat.make before the first division back
+    a = SFractionCoeffs([QRat.make(1 + q, 1 + 2 * q), QRat.make(2 + q**2, 1 + 3 * q)] * 4)
+    want = _nested_reciprocal_moments(a.terms, 9)
+    events = []
+    real_make, real_div = QRat.make, cfrac.field_div
+
+    def make(num, den=1):
+        events.append("make")
+        return real_make(num, den)
+
+    def div(x, y):
+        events.append("div")
+        return real_div(x, y)
+
+    monkeypatch.setattr(QRat, "make", staticmethod(make))
+    monkeypatch.setattr(cfrac, "field_div", div)
+    mu = moments_from_sfraction(a, 9)
+    assert events[0] == "div" and events.count("div") == 8
+    assert type(mu[0]) is int and mu == want
 
 
 NONZERO = {

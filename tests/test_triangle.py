@@ -11,7 +11,7 @@ import pytest
 from cfmoments import ring, triangle
 from cfmoments.cfrac import SFractionCoeffs, hankel_from_sfraction, moments_from_sfraction
 from cfmoments.pipeline import compare
-from cfmoments.ring import ExactDivisionError, QPoly, QRat, exact_div, field_div, q
+from cfmoments.ring import ExactDivisionError, QPoly, QRat, exact_div, field_div, q, render
 from cfmoments.triangle import (
     ProductionMatrix,
     Triangle,
@@ -572,6 +572,53 @@ def test_hankel_sweep_matches_the_polynomial_loop_random(monkeypatch):
                     for h in want[0]
                 )
     assert min(seen.values()) >= 10, seen
+
+
+def _field_atom_moments(rng, size):
+    # as _atom_moments, over Q and Q(q): h_r = 0 for r atoms
+    atoms = [(_fraction_entry(rng), rng.choice((_fraction_entry, _qq_entry))(rng))
+             for _ in range(rng.randrange(1, 4))]
+    return [sum(c * x**k for c, x in atoms) for k in range(size)]
+
+
+def test_field_sweep_matches_the_polynomial_loop_random():
+    # field moments are cleared into the integer sweep and each pivot and
+    # next divided back by D^(k+1); at k = 0 an int may come back as a
+    # Fraction, so values and renderings are compared, not types
+    rng = random.Random(20261023)
+    seen = {"fraction": 0, "qq": 0, "mixed": 0, "zero": 0}
+    for _ in range(25):
+        size = rng.randrange(1, 10)
+        for kind, mu in (
+            ("fraction", [_fraction_entry(rng) for _ in range(size)]),
+            ("qq", [_qq_entry(rng) for _ in range(size)]),
+            ("mixed", [_mixed_entry(rng) for _ in range(size)]),
+            ("zero", _field_atom_moments(rng, size)),
+        ):
+            types = set(map(type, mu))
+            if types <= {int, QPoly}:
+                continue
+            got = triangle._hankel_pivots(mu, types)
+            want = _hankel_pivots_ref(mu)
+            assert got == want, mu
+            assert [list(map(render, vs)) for vs in got] == [list(map(render, vs)) for vs in want]
+            seen[kind] += kind != "zero" or (len(want[0]) > 1 and want[0][-1] == 0)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_field_moments_run_the_integer_sweep(monkeypatch):
+    widths = _sweep_widths(monkeypatch)
+    a = [1, Fraction(1, 2), Fraction(2, 3), 3, Fraction(-5, 4), Fraction(1, 6), 2]
+    assert hankel_transform(moments_from_sfraction(SFractionCoeffs(a), 7), 4)[3] == (
+        hankel_from_sfraction(SFractionCoeffs(a), 4)[3]
+    )
+    assert widths == [0]
+    widths.clear()
+    a = [1, QRat.make(1 + q, 1 + 2 * q), Fraction(1, 3), q, QRat.make(2, 1 - q), 1 + q, 2]
+    assert hankel_transform(moments_from_sfraction(SFractionCoeffs(a), 7), 4)[3] == (
+        hankel_from_sfraction(SFractionCoeffs(a), 4)[3]
+    )
+    assert widths and widths[0] >= 1
 
 
 def _off_by_one_in_one_step(monkeypatch):
