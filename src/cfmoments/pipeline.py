@@ -90,14 +90,17 @@ class CatalanLikenessError(ArithmeticError):
 
 def build_N_via_behead(a: SFractionCoeffs, n: int) -> tuple[Triangle, ProductionMatrix]:
     """First construction: generate from the beheaded inverse of the
-    unit lower bidiagonal matrix with -a1, -a2, ... below the diagonal.
-    Takes n >= 2 and returns (N, P), P the n - 1 production rows."""
+    unit lower bidiagonal matrix with -a1, -a2, ... below the diagonal,
+    whose row i is its row i - 1 times a_i with a 1 appended.  Takes
+    n >= 2 and returns (N, P), P the n - 1 production rows."""
     if n < 2:
         raise ValueError("size must be at least 2")
     if len(a.terms) < n:
         raise InsufficientCoefficients(f"need {n} coefficients, got {len(a.terms)}")
-    bidiagonal = [[1]] + [[0] * (i - 1) + [-a.terms[i - 1], 1] for i in range(1, n)]
-    P = behead(invert(Triangle(bidiagonal)))
+    rows = [[1]]
+    for t in a.terms[: n - 1]:
+        rows.append([v * t or 0 for v in rows[-1]] + [1])
+    P = behead(Triangle(rows))
     return generate(P, n), P
 
 
@@ -227,9 +230,9 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
     determinant is also computed from the moments alone, by the
     fraction-free three-term recurrence (Bareiss elimination only when a
     leading minor vanishes), in O(n^2) ring operations; disagreement
-    signals a bug and raises.  ``prodN`` and
-    ``prodM`` are the builders' own production matrices: a unit-diagonal
-    triangle has only one, so the route agreements on N and M certify them.
+    signals a bug and raises.  ``prodN`` and ``prodM`` are the builders'
+    own production matrices (a unit-diagonal triangle has only one); C's
+    top rows invert those of C^-1, whose production matrix is ``prodCinv``.
 
     Field input (a Fraction or QRat among the 2n terms) runs over Z or
     Z[q]: every output is homogeneous in the a_i (Flajolet 1980), so the
@@ -285,7 +288,7 @@ def _compare_ring(a: SFractionCoeffs, n: int) -> ComparisonResult:
     M, prodM = build_M(a, n)
     Ninv = invert(N)
     C = mul(Ninv, M)
-    prodCinv = production_of(invert(C))
+    prodCinv = production_of(invert(C), Triangle(C.rows[:-1]))
     mu = mu_long[:n]
     diagnostics = [
         ("construction-route-agreement", N == N_again),
@@ -904,7 +907,7 @@ def _qcase_numeric_checks(v: int, n: int) -> list:
         # built on purpose: the symbolic product is this check's second route
         sym = _q_power_coeffs(12)
         C = mul(invert(build_N_via_behead(sym, 6)[0]), build_M(sym, 6)[0])
-        ok = C.map_entries(lambda s: eval_q(s, v)) == Triangle(r.C.rows[:6])
+        ok = Triangle([[eval_q(s, v) for s in row] for row in C.rows]) == Triangle(r.C.rows[:6])
         return ok, f"evaluated at q={v}"
 
     def qd_recovers_geometric_sequence():

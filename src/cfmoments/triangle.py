@@ -111,9 +111,6 @@ class Triangle(_Rows):
         """Column k padded to full height with structural zeros."""
         return tuple([self.entry(i, k) for i in range(self.size)])
 
-    def map_entries(self, fn) -> "Triangle":
-        return Triangle([[fn(v) for v in r] for r in self.rows])
-
     @staticmethod
     def identity(n) -> "Triangle":
         return Triangle([[0] * i + [1] for i in range(n)])
@@ -219,16 +216,18 @@ def mul(A: Triangle, B: Triangle) -> Triangle:
     return Triangle(rows)
 
 
-def production_of(T: Triangle) -> ProductionMatrix:
+def production_of(T: Triangle, top_inv=None) -> ProductionMatrix:
     """The unique production matrix that generates T.
 
     Equals the inverse of T without its last row, applied to T without
     its first row; returns size-1 production rows.  Computed as the
-    product diag(1, that inverse) * T with its first row dropped.
+    product diag(1, that inverse) * T with its first row dropped.  A
+    caller that already holds that inverse passes it as ``top_inv``.
     """
     if T.size < 2:
         raise ValueError("need at least two rows")
-    top_inv = invert(Triangle(T.rows[:-1]))
+    if top_inv is None:
+        top_inv = invert(Triangle(T.rows[:-1]))
     return behead(mul(Triangle([[1]] + [[0, *r] for r in top_inv.rows]), T))
 
 
@@ -276,12 +275,12 @@ def _hankel_pivots(mu, types):
     operations; ``types`` are the types of mu.
 
     The sweep runs on ints (``_int_sweep``): Z[q] moments are packed at
-    q -> 2^(64m) and the pivots and nexts unpacked at the end.  When a
-    quotient fails its slot check, or a moment's coefficient does not fit
-    a slot, the whole sweep reruns with slots twice as wide.  Field
-    moments are cleared first (``ring._cleared``): h_k and nu_{k,k+1} are
-    minors of k + 1 rows, so those of D·mu are D^(k+1) times those of mu,
-    and each is divided back once.
+    q -> 2^(64m) and the pivots and nexts unpacked at the end.  It starts
+    at the narrowest m that the moments' largest coefficient fits and,
+    when a quotient fails its slot check, reruns with slots twice as wide.
+    Field moments are cleared first (``ring._cleared``): h_k and
+    nu_{k,k+1} are minors of k + 1 rows, so those of D·mu are D^(k+1)
+    times those of mu, and each is divided back once.
     """
     if not types <= _ZQ_TYPES:
         D, mu = _cleared(mu)
@@ -289,12 +288,9 @@ def _hankel_pivots(mu, types):
         return tuple([field_div(v, D ** (k + 1)) for k, v in enumerate(vs)] for vs in got)
     if QPoly not in types:
         return _int_sweep(mu, 0)
-    m = 1
+    m = max([abs(c) for v in mu for c in _zq_coeffs(v)]).bit_length() // 64 + 1
     while True:
-        try:
-            got = _int_sweep([_zq_pack(v, m) for v in mu], m)
-        except OverflowError:  # a moment's coefficient does not fit a slot
-            got = None
+        got = _int_sweep([_zq_pack(v, m) for v in mu], m)
         if got is not None:
             return tuple([_zq_unpack(v, m) for v in vs] for vs in got)
         if m >= _widest_slots(mu):

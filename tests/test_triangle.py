@@ -132,6 +132,23 @@ def test_production_of_inverts_generate_random():
             assert production_of(generate(P, n)) == P
 
 
+def test_production_of_takes_the_known_top_inverse_random():
+    # T = S^-1 for a random unit-diagonal S, so S without its last row is
+    # the inverse of T without its last row, and no inversion is needed
+    for entry, _, draws in _PRODUCTION_DRAWS:
+        rng = random.Random(20261602)
+        for _ in range(draws):
+            n = rng.randrange(2, 8)
+            S = Triangle([[entry(rng) for _ in range(i)] + [1] for i in range(n)])
+            T = invert(S)
+            got = production_of(T, Triangle(S.rows[:-1]))
+            want = production_of(T)
+            assert got == want
+            if T.types <= {int, QPoly}:
+                assert _typed(got.rows) == _typed(want.rows)
+            assert generate(got, n) == T
+
+
 def test_generate_inverts_production_of_random():
     rng = random.Random(5)
     for _ in range(100):
