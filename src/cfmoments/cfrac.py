@@ -2,8 +2,10 @@
 to moment sequences: conversion between the one-parameter and the
 two-parameter form, moment expansion and its inverse, and Hankel
 determinants read off the coefficients.  Fraction and Q(q) input is
-cleared of its denominators, so the moment sweep and the Hankel sweep
-run over Z or Z[q], and each result is divided back once.
+cleared of its denominators, terms by their lcm D and moments by index
+(mu_j -> c^j mu_j), so the moment sweep and the Hankel sweep run over Z
+or Z[q]; moments are divided back by peeling one D at a time, and each
+qd coefficient is one field division.
 
 Conventions: the one-parameter form
 1 / (1 - a1 x / (1 - a2 x / (1 - ...))) is indexed from a1; the
@@ -13,7 +15,7 @@ carries one more b than l.
 
 from __future__ import annotations
 
-from .ring import _as_zq_pair, _check_scalars, _cleared, _in_zq, field_div
+from .ring import _as_zq_pair, _check_scalars, _cleared, _graded, _in_zq, _peel, field_div
 from .triangle import _hankel_pivots
 
 __all__ = [
@@ -124,7 +126,8 @@ def moments_from_sfraction(s: SFractionCoeffs, count: int):
     weight of the paths that end there: O(count^2) ring operations, and
     no division over Z and Z[q].  Field terms are cleared first: mu_k is
     homogeneous of degree k in the a_i, so the sweep runs on b_i = D a_i
-    (``ring._cleared``) and mu_k is divided back once by D^k.
+    (``ring._cleared``) and mu_k is divided back by D^k one D at a time
+    (``ring._peel``), each gcd against the small D.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -153,7 +156,7 @@ def moments_from_sfraction(s: SFractionCoeffs, count: int):
         if t % 2 == 0:
             mu.append(w[0])
     if field:
-        return mu[:1] + [field_div(mu[k], D**k) for k in range(1, count)]
+        return mu[:1] + [_peel(mu[k], D, k) for k in range(1, count)]
     return mu
 
 
@@ -195,8 +198,9 @@ def qd_sfraction_from_moments(mu) -> SFractionCoeffs:
     algorithm (Chebyshev 1859; Gautschi 1982) on the sweep of
     ``hankel_transform``: b_0 + ... + b_k = nu_k / h_k, nu_k = nu_{k,k+1},
     and l_k = h_k h_{k-2} / h_{k-1}^2, then ``s_to_j`` inverted.  Field
-    moments are cleared of their denominators first (the a_i of c mu are
-    those of mu), so each a_i is one field division of ring values.
+    moments are graded first, mu_j -> c^j mu_j (``ring._graded``), which
+    makes them ring values whose a_i are c a_i, so each a_i is one field
+    division of ring values with the c folded into its divisor.
 
     Raises QDBreakdownError exactly where no one-parameter form exists:
     at a_{2k+1} when h_k = 0, at a_{2k} when a_{2k-1} = 0.  A zero a_m at
@@ -208,8 +212,9 @@ def qd_sfraction_from_moments(mu) -> SFractionCoeffs:
         raise ValueError("empty moment list")
     if mu[0] != 1:
         raise ValueError("moment 0 must be 1")
+    c = 1
     if not _in_zq(mu):
-        mu = _cleared(mu)[1]
+        c, _, mu = _graded(mu)
     h, nu = _hankel_pivots(mu, set(map(type, mu)))
     # h[k + 1] = h_k, nu[k + 1] = nu_k; h_{-1} = 1, nu_{-1} = 0 and a_0 = 0
     # make the odd formula give a_1 = nu_0 / h_0
@@ -219,11 +224,13 @@ def qd_sfraction_from_moments(mu) -> SFractionCoeffs:
         k = i // 2
         if (h[k + 1] if i % 2 else n) == 0:
             raise QDBreakdownError(i)
+        # the sweep's b_k and l_k are those of the graded moments, c b_k
+        # and c^2 l_k
         if i % 2:  # a_{2k+1} = b_k - a_{2k}, a_{2k} = n/d
             hh = h[k + 1] * h[k]
-            a = field_div((nu[k + 1] * h[k] - nu[k] * h[k + 1]) * d - n * hh, hh * d)
+            a = field_div((nu[k + 1] * h[k] - nu[k] * h[k + 1]) * d - c * n * hh, c * hh * d)
         else:  # a_{2k} = l_k / a_{2k-1}, a_{2k-1} = n/d
-            a = field_div(h[k + 1] * h[k - 1] * d, h[k] * h[k] * n)
+            a = field_div(h[k + 1] * h[k - 1] * d, c * c * h[k] * h[k] * n)
         out.append(a)
         n, d = _as_zq_pair(a)
     return SFractionCoeffs(out)

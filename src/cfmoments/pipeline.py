@@ -33,6 +33,7 @@ from .ring import (
     QPoly,
     _cleared,
     _in_zq,
+    _peel,
     eval_q,
     exact_div,
     field_div,
@@ -238,8 +239,9 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
     Z[q]: every output is homogeneous in the a_i (Flajolet 1980), so the
     constructions take b_i = D a_i, D the common denominator, and entry
     (i, j) of a triangle, entry (t, j) of a production matrix and mu_k
-    are divided once by D^(i-j), D^(t+1-j) and D^k.  The diagnostics are
-    the ring run's.
+    are divided back by D^(i-j), D^(t+1-j) and D^k, peeled one D at a
+    time (``ring._peel``) and once per distinct (value, degree) pair.
+    The diagnostics are the ring run's.
     """
     if n < 2:
         raise ValueError("size must be at least 2")
@@ -254,19 +256,24 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
         return _compare_ring(a, n)
     D, b = _cleared(terms)
     r = _compare_ring(SFractionCoeffs(b), n)
-    powers = [1]
-    for _ in range(1, n):
-        powers.append(powers[-1] * D)
+    done = {}
+
+    def back(v, e):
+        # the same entry recurs across the seven matrices and mu
+        if e == 0:
+            return v
+        key = (v, e)
+        got = done.get(key)
+        if got is None:
+            got = done[key] = _peel(v, D, e)
+        return got
 
     def unscale(m, shift):
-        # entry (i, j) has degree i + shift - j; degree 0 is left alone
-        rows = []
-        for i, row in enumerate(m.rows):
-            e = i + shift
-            rows.append([v if e == j else field_div(v, powers[e - j]) for j, v in enumerate(row)])
-        return type(m)(rows)
+        # entry (i, j) has degree i + shift - j
+        rows = enumerate(m.rows, shift)
+        return type(m)([[back(v, i - j) for j, v in enumerate(row)] for i, row in rows])
 
-    mu = [v if k == 0 else field_div(v, powers[k]) for k, v in enumerate(r.mu)]
+    mu = [back(v, k) for k, v in enumerate(r.mu)]
     N, M, Ninv, C = (unscale(m, 0) for m in (r.N, r.M, r.Ninv, r.C))
     prodN, prodM, prodCinv = (unscale(m, 1) for m in (r.prodN, r.prodM, r.prodCinv))
     return ComparisonResult(a, mu, N, M, Ninv, C, prodN, prodM, prodCinv, r.diagnostics)
@@ -300,20 +307,23 @@ def _compare_ring(a: SFractionCoeffs, n: int) -> ComparisonResult:
     return ComparisonResult(a, mu, N, M, Ninv, C, prodN, prodM, prodCinv, diagnostics)
 
 
+def _q_pascal(m: int):
+    """Rows 0 .. m of the q-Pascal triangle: row i holds the Gaussian
+    binomials [i, 0] .. [i, i], and [i, j] = [i-1, j-1] + q^j [i-1, j]."""
+    rows = [[1]]
+    for i in range(1, m + 1):
+        row = rows[-1]
+        rows.append([1] + [row[j - 1] + q**j * row[j] for j in range(1, i)] + [1])
+    return rows
+
+
 def q_binomial(m: int, k: int):
     """Gaussian binomial coefficient, an integer polynomial in q."""
     if m < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
     if k > m:
         return 0
-    row = [1]
-    for i in range(1, m + 1):
-        nxt = [1]
-        for jj in range(1, i):
-            nxt.append(row[jj - 1] + q**jj * row[jj])
-        nxt.append(1)
-        row = nxt
-    return row[k]
+    return _q_pascal(m)[m][k]
 
 
 class CheckResult:
@@ -375,8 +385,10 @@ def qcase_factorization_check(product: Triangle) -> CheckResult:
     """Entrywise factorization of the product triangle for the geometric
     coefficient sequence: entry (i, k) divided by q to the power
     binom(i-k+2, 2) - 1 equals the Gaussian binomial [i-1, i-k] times
-    q^((k-1)(i-k)).  Reports the first failing entry."""
+    q^((k-1)(i-k)).  Reports the first failing entry.  The q-Pascal rows
+    are built once for the whole check."""
     n = product.size
+    binomials = _q_pascal(n - 2)
     for i in range(1, n):
         for k in range(1, i + 1):
             d = i - k
@@ -392,7 +404,7 @@ def qcase_factorization_check(product: Triangle) -> CheckResult:
                     f"entry at row {i} column {k} is not divisible by the "
                     "expected power",
                 )
-            rhs = q_binomial(i - 1, d) * q ** ((k - 1) * d)
+            rhs = binomials[i - 1][d] * q ** ((k - 1) * d)
             if lhs != rhs:
                 return CheckResult(
                     "entrywise-factorization",

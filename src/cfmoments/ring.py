@@ -28,6 +28,12 @@ coefficient per slot of 64m bits laid out through ``array('q')`` and
 ``int.from_bytes``, and ``_zq_slots`` and ``_zq_unpack`` read the
 coefficients back the same way.  All three are linear in the number of
 coefficients.
+
+Field values reach those integer loops cleared of their denominators:
+terms by their lcm (``_cleared``), moment lists by index
+(``_graded``: mu_j -> d·c^j·mu_j).  Each result comes back through
+``_peel``, which divides by c^e one c at a time, so that every gcd has
+the small c as one operand and no final gcd is needed.
 """
 
 from __future__ import annotations
@@ -313,12 +319,82 @@ def _as_zq_pair(x):
 
 def _cleared(values):
     """(D, [D·v for v in values]) with D the lcm in Z or Z[q] of the
-    values' denominators, so that every D·v is an int or a QPoly."""
+    values' denominators, so that every D·v is an int or a QPoly.  The lcm
+    step and the cofactor D/den run once per distinct denominator."""
     pairs = [_as_zq_pair(v) for v in values]
+    dens = dict.fromkeys([den for _, den in pairs])
     D = 1
-    for _, den in pairs:
+    for den in dens:
         D = _zq_exact_div(D * den, _zq_gcd(D, den))
-    return D, [num * _zq_exact_div(D, den) for num, den in pairs]
+    for den in dens:
+        dens[den] = _zq_exact_div(D, den)
+    return D, [num * dens[den] for num, den in pairs]
+
+
+def _graded(values):
+    """(c, d, [d·c^j·v_j]) for scalars v_0, v_1, ..., every d·c^j·v_j an
+    int or a QPoly: d is the denominator of v_0, and c is chosen in one
+    pass, c <- c·den_j / gcd(den_j, c^j) for j >= 1, so that every den_j
+    divides c^j.  The moments of an S-fraction whose terms have the common
+    denominator D have den_j dividing D^j (mu_j is homogeneous of degree j
+    in the a_i), so mu_j is scaled by about D^j, not by the lcm of all the
+    moments' denominators."""
+    pairs = [_as_zq_pair(v) for v in values]
+    c = 1
+    for j, (_, den) in enumerate(pairs[1:], 1):
+        if den != 1:
+            c = c * _zq_exact_div(den, _zq_gcd(den, c**j))
+    d = pairs[0][1]
+    out, scale = [], d
+    for num, den in pairs:
+        out.append(num * _zq_exact_div(scale, den))
+        scale = scale * c
+    return c, d, out
+
+
+def _peel(x, c, e, d=1, f=0):
+    """x / (c^e·d^f) for Z or Z[q] values x, c != 0 and d != 0: equal in
+    value and exact type to ``QRat.make(x, c^e·d^f)``, or, when x, c and d
+    are ints, to ``field_div`` of them, a ``Fraction``.
+
+    Each power comes off one base at a time: g = gcd(x, c), x <- x/g, and
+    the denominator takes c/g, until g = 1, when it takes the rest of c^e
+    whole; then the same for d^f.  Every gcd has a small base as one
+    operand.  The result needs no final gcd: for each prime power
+    p^a ‖ c, either every step took a factor p^a off x and the
+    denominator gained no p, or a step left x free of p.  Int operands go
+    to ``field_div`` whole."""
+    if type(x) is int and type(c) is int and type(d) is int:
+        return field_div(x, c**e * d**f)
+    if x == 0:
+        return 0
+    den = 1
+    for b, k in ((c, e), (d, f)):
+        while k:
+            g = _zq_gcd(x, b)
+            if g == 1:
+                break
+            x = _zq_exact_div(x, g)
+            den = den * _zq_exact_div(b, g)
+            k -= 1
+        den = den * b**k
+    return _reduced(x, den)
+
+
+def _reduced(n, d):
+    """n/d for coprime Z or Z[q] values n and d != 0, in the simplest type:
+    the denominator's leading coefficient is made positive, d = 1 gives n,
+    two ints a Fraction, anything else a QRat."""
+    if _zq_coeffs(d)[-1] < 0:
+        n, d = -n, -d
+    if d == 1:
+        return n
+    if type(n) is int and type(d) is int:
+        return Fraction(n, d)
+    r = object.__new__(QRat)
+    r.num = n
+    r.den = d
+    return r
 
 
 class QRat:
@@ -349,16 +425,7 @@ class QRat:
         if g != 1:
             n = _zq_exact_div(n, g)
             d = _zq_exact_div(d, g)
-        if _zq_coeffs(d)[-1] < 0:
-            n, d = -n, -d
-        if d == 1:
-            return n
-        if type(n) is int and type(d) is int:
-            return Fraction(n, d)
-        r = object.__new__(QRat)
-        r.num = n
-        r.den = d
-        return r
+        return _reduced(n, d)
 
     def __add__(self, other):
         p = _as_zq_pair(other)
@@ -397,14 +464,7 @@ class QRat:
             raise ValueError("exponent must be an int")
         # powers of the coprime num and den are coprime, so no gcd is needed
         num, den = (self.num**n, self.den**n) if n >= 0 else (self.den**-n, self.num**-n)
-        if _zq_coeffs(den)[-1] < 0:
-            num, den = -num, -den
-        if den == 1:
-            return num
-        r = object.__new__(QRat)
-        r.num = num
-        r.den = den
-        return r
+        return _reduced(num, den)
 
     def __eq__(self, other):
         p = _as_zq_pair(other)

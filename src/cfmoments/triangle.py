@@ -13,8 +13,8 @@ each entry of generate, invert and mul is one fused sum of products
 Hankel sweep runs on Python ints: Z[q] moments are packed at q -> 2^64
 (Kronecker substitution), every quotient is checked from its 64-bit
 slots, and the sweep reruns with wider slots when a check fails.  Field
-moments are cleared of their denominators first and each result divided
-back once.
+moments are graded by index first, mu_j -> d·c^j·mu_j, and each result
+is divided back by peeling one c at a time.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from .ring import (
     ExactDivisionError,
     QPoly,
     _check_scalars,
-    _cleared,
     _fuses,
+    _graded,
     _in_zq,
+    _peel,
     _zq_coeffs,
     _zq_dot,
     _zq_pack,
@@ -278,14 +279,18 @@ def _hankel_pivots(mu, types):
     q -> 2^(64m) and the pivots and nexts unpacked at the end.  It starts
     at the narrowest m that the moments' largest coefficient fits and,
     when a quotient fails its slot check, reruns with slots twice as wide.
-    Field moments are cleared first (``ring._cleared``): h_k and
-    nu_{k,k+1} are minors of k + 1 rows, so those of D·mu are D^(k+1)
-    times those of mu, and each is divided back once.
+    Field moments are graded first (``ring._graded``), mu_j -> d·c^j·mu_j:
+    row i and column j of every minor take c^i and c^j, so h_k takes
+    d^(k+1)·c^(k(k+1)) and nu_{k,k+1} one more c, and each is divided
+    back by peeling (``ring._peel``).
     """
     if not types <= _ZQ_TYPES:
-        D, mu = _cleared(mu)
-        got = _hankel_pivots(mu, set(map(type, mu)))
-        return tuple([field_div(v, D ** (k + 1)) for k, v in enumerate(vs)] for vs in got)
+        c, d, mu = _graded(mu)
+        h, nu = _hankel_pivots(mu, set(map(type, mu)))
+        return (
+            [_peel(v, c, k * (k + 1), d, k + 1) for k, v in enumerate(h)],
+            [_peel(v, c, k * (k + 1) + 1, d, k + 1) for k, v in enumerate(nu)],
+        )
     if QPoly not in types:
         return _int_sweep(mu, 0)
     m = max([abs(c) for v in mu for c in _zq_coeffs(v)]).bit_length() // 64 + 1

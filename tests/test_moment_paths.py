@@ -66,23 +66,23 @@ def test_path_moments_match_every_other_route(ring):
 
 
 def test_field_terms_run_the_path_sweep_over_zq(monkeypatch):
-    # Q(q) terms are cleared to b_i = D a_i and mu_k divided back by D^k:
-    # no QRat.make before the first division back
+    # Q(q) terms are cleared to b_i = D a_i and mu_k divided back by D^k,
+    # peeled one D at a time: no QRat.make before the first division back
     a = SFractionCoeffs([QRat.make(1 + q, 1 + 2 * q), QRat.make(2 + q**2, 1 + 3 * q)] * 4)
     want = _nested_reciprocal_moments(a.terms, 9)
     events = []
-    real_make, real_div = QRat.make, cfrac.field_div
+    real_make, real_peel = QRat.make, cfrac._peel
 
     def make(num, den=1):
         events.append("make")
         return real_make(num, den)
 
-    def div(x, y):
+    def div(*args):
         events.append("div")
-        return real_div(x, y)
+        return real_peel(*args)
 
     monkeypatch.setattr(QRat, "make", staticmethod(make))
-    monkeypatch.setattr(cfrac, "field_div", div)
+    monkeypatch.setattr(cfrac, "_peel", div)
     mu = moments_from_sfraction(a, 9)
     assert events[0] == "div" and events.count("div") == 8
     assert type(mu[0]) is int and mu == want

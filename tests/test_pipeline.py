@@ -158,6 +158,38 @@ def test_a_ring_compare_makes_three_inversions_none_in_production_of(monkeypatch
         assert calls == [False, False, False]
 
 
+def test_a_field_compare_divides_each_distinct_entry_back_once(monkeypatch):
+    # the seven matrices and mu share most entries of the ring run, so
+    # each (value, degree) pair is peeled once and the rest are reused
+    import cfmoments.pipeline as pipeline
+
+    calls = []
+    real_peel = pipeline._peel
+
+    def counted(*args):
+        calls.append(args)
+        return real_peel(*args)
+
+    monkeypatch.setattr(pipeline, "_peel", counted)
+    qq = [1, QRat.make(1 + q, 1 + 2 * q), Fraction(1, 3), q, QRat.make(2, 1 - q), 1 + q]
+    for a, n in (
+        (SFractionCoeffs(qq), 3),
+        (SFractionCoeffs([1, Fraction(1, 2), 3, Fraction(2, 3), 1, 2, 5, 1]), 4),
+    ):
+        # the (value, degree) pairs that the ring run leaves to divide back
+        r = pipeline._compare_ring(SFractionCoeffs(pipeline._cleared(a.terms[: 2 * n])[1]), n)
+        entries = [(v, k) for k, v in enumerate(r.mu)]
+        for m in (r.N, r.M, r.Ninv, r.C, r.prodN, r.prodM, r.prodCinv):
+            shift = len(m.rows[0]) - 1
+            entries += [(v, i - j) for i, row in enumerate(m.rows, shift) for j, v in enumerate(row)]
+        entries = [(v, e) for v, e in entries if e]
+        calls.clear()
+        assert all(ok for _, ok in compare(a, n).diagnostics)
+        assert len(set(calls)) == len(calls)
+        assert {(x, e) for x, _, e in calls} == set(entries)
+        assert len(calls) < len(entries)
+
+
 def test_build_n_size_one():
     for build in (build_N_via_behead, build_N_via_rescale, build_M):
         with pytest.raises(ValueError, match="at least 2"):

@@ -586,3 +586,91 @@ def test_zq_pack_is_a_ring_homomorphism_and_unpack_inverts_it_random():
             if bits == 2:
                 assert _zq_pack(x * y, m) == _zq_pack(x, m) * _zq_pack(y, m)
                 assert _zq_pack(x - y, m) == _zq_pack(x, m) - _zq_pack(y, m)
+
+
+# -- grading by index and peeling, against one gcd per quotient ------------------
+
+_FACTORS = (2, 3, -1 + 2 * q, 1 + q, 1 + 2 * q, 2 - q, 1 + q**2, q)
+
+
+def _random_den(rng):
+    # products of a few distinct factors, so not a power of one polynomial
+    den = 1
+    for f in rng.sample(_FACTORS, rng.randrange(0, 4)):
+        den = den * f ** rng.randrange(1, 3)
+    return den
+
+
+def _random_field_value(rng, kind):
+    if rng.randrange(6) == 0:
+        return 0
+    num = rng.randrange(-9, 10) if kind == "fraction" else _random_zq(rng)
+    den = _random_den(rng)
+    if kind == "fraction":
+        den = math.prod(_coeff_list(den)[-1:]) or 1
+    return field_div(num, den) if kind == "fraction" else QRat.make(num, den)
+
+
+def _field_list(rng):
+    kind = rng.choice(("fraction", "qq", "mixed"))
+    n = rng.randrange(1, 8)
+    if kind == "mixed":
+        vals = [_random_field_value(rng, rng.choice(("fraction", "qq"))) for _ in range(n)]
+        vals += [rng.choice((2, -1 + q, 1 + q**2))]
+    else:
+        vals = [_random_field_value(rng, kind) for _ in range(n)]
+    return kind, vals
+
+
+def _quotient(x, c, e, d=1, f=0):
+    """x / (c^e·d^f) by one gcd: a Fraction when x, c and d are ints, as
+    field_div gives, and QRat.make's value otherwise."""
+    if type(x) is int and type(c) is int and type(d) is int:
+        return field_div(x, c**e * d**f)
+    return QRat.make(x, c**e * d**f)
+
+
+def _assert_canonical(x):
+    # checked apart from QRat.make, which shares ring._reduced with _peel
+    if type(x) is QRat:
+        assert _coeff_list(x.den)[-1] > 0 and x.den != 1
+        assert _euclid_gcd(x.num, x.den) == 1
+
+
+def test_grade_and_peel_match_qrat_make_random():
+    # _graded scales mu_j to d·c^j·mu_j in Z or Z[q], and _peel divides
+    # back to the very value and type of one reduction by QRat.make
+    rng = random.Random(20261019)
+    seen = {"fraction": 0, "qq": 0, "mixed": 0, "mu0": 0, "zero": 0}
+    for _ in range(150):
+        kind, mu = _field_list(rng)
+        c, d, graded = ring._graded(mu)
+        assert all(type(v) in (int, QPoly) for v in graded)
+        for j, (v, g) in enumerate(zip(mu, graded)):
+            want = _quotient(g, c, j, d, 1)
+            assert want == v
+            got = ring._peel(g, c, j, d, 1)
+            assert type(got) is type(want) and got == want and render(got) == render(want)
+            _assert_canonical(got)
+        seen[kind] += 1
+        seen["mu0"] += d != 1
+        seen["zero"] += 0 in mu
+    assert min(seen.values()) >= 20, seen
+
+
+def test_peel_matches_qrat_make_random():
+    # bases with a negative leading coefficient, numerators with a
+    # negative one, and numerators that share some but not all of b^e
+    rng = random.Random(20261020)
+    flips = 0
+    for _ in range(400):
+        b = rng.choice(_FACTORS[:-1] + (6 * (1 + q) * (2 - q),)) * rng.choice((1, -1))
+        e = rng.randrange(0, 5)
+        x = rng.choice((0, rng.randrange(-9, 10), _random_zq(rng))) * b ** rng.randrange(0, 6)
+        x = x * _random_den(rng)
+        want = _quotient(x, b, e)
+        got = ring._peel(x, b, e)
+        assert type(got) is type(want) and got == want and render(got) == render(want), (x, b, e)
+        _assert_canonical(got)
+        flips += type(want) is QRat and _coeff_list(b**e)[-1] < 0
+    assert flips >= 10
