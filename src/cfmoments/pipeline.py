@@ -90,19 +90,25 @@ class CatalanLikenessError(ArithmeticError):
 
 
 def build_N_via_behead(a: SFractionCoeffs, n: int) -> tuple[Triangle, ProductionMatrix]:
-    """First construction: generate from the beheaded inverse of the
-    unit lower bidiagonal matrix with -a1, -a2, ... below the diagonal,
-    whose row i is its row i - 1 times a_i with a 1 appended.  Takes
-    n >= 2 and returns (N, P), P the n - 1 production rows."""
+    """First construction: N is generated from P, the beheaded inverse of
+    the unit lower bidiagonal matrix B with -a1, -a2, ... below the
+    diagonal (row i of B^-1 is row i - 1 times a_i, then a 1).  Row r+1 of
+    N, (0, row r)·B^-1, is solved against B right to left: N[r+1][k] =
+    N[r][k-1] + a_{k+1}·N[r+1][k+1].  Over a field its types may differ from
+    ``generate(P, n)``'s (a Fraction never demotes); ``compare`` clears
+    field terms into Z first.  Takes n >= 2; returns (N, P), P n - 1 rows."""
     if n < 2:
         raise ValueError("size must be at least 2")
     if len(a.terms) < n:
         raise InsufficientCoefficients(f"need {n} coefficients, got {len(a.terms)}")
-    rows = [[1]]
+    rows, N = [[1]], [[1]]
     for t in a.terms[: n - 1]:
         rows.append([v * t or 0 for v in rows[-1]] + [1])
-    P = behead(Triangle(rows))
-    return generate(P, n), P
+        x = [0, *N[-1]]
+        for k in range(len(x) - 2, -1, -1):
+            x[k] = x[k] + a.terms[k] * x[k + 1]
+        N.append(x)
+    return Triangle(N), behead(Triangle(rows))
 
 
 def build_N_via_rescale(a: SFractionCoeffs, n: int) -> Triangle:
@@ -185,7 +191,8 @@ def build_M(a: SFractionCoeffs, n: int) -> tuple[Triangle, ProductionMatrix]:
     via_production = generate(P, n)
     if via_production != invert(op_coeff_triangle(j, n)):
         raise ArithmeticError(
-            "internal disagreement between the production and polynomial routes"
+            f"build_M at size {n}: internal disagreement between the production "
+            "and polynomial routes"
         )
     return via_production, P
 
@@ -288,7 +295,8 @@ def _compare_ring(a: SFractionCoeffs, n: int) -> ComparisonResult:
     mu_long = moments_from_sfraction(a, 2 * n - 1)
     if hankel_det(mu_long, n - 1) != h[-1]:
         raise ArithmeticError(
-            "internal disagreement between the determinant and product routes"
+            f"compare at size {n}: internal disagreement between the determinant "
+            f"and product routes for h_{n - 1}"
         )
     N, prodN = build_N_via_behead(a, n)
     N_again = build_N_via_rescale(a, n)

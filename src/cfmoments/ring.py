@@ -649,17 +649,19 @@ def exact_div(x, y):
     does not divide raises ExactDivisionError instead of producing a
     fraction.  Field operands (Fraction, QRat) divide freely.
     """
+    if type(x) is int and type(y) is int:
+        if not y:
+            raise ZeroDivisionError("exact_div by zero")
+        quot, rem = divmod(x, y)
+        if rem:
+            raise ExactDivisionError(f"{x} not divisible by {y}")
+        return quot
     _require_scalar(x)
     _require_scalar(y)
     if y == 0:
         raise ZeroDivisionError("exact_div by zero")
     if type(x) in (Fraction, QRat) or type(y) in (Fraction, QRat):
         return field_div(x, y)
-    if type(x) is int and type(y) is int:
-        quot, rem = divmod(x, y)
-        if rem:
-            raise ExactDivisionError(f"{x} not divisible by {y}")
-        return quot
     return _zq_exact_div(x, y)
 
 

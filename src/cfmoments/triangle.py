@@ -9,12 +9,13 @@ minor vanishes.
 Everything is exact; entries are ring scalars and all divisions either
 stay in the ring or raise.  Over Z[q], with a QPoly among the operands,
 each entry of generate, invert and mul is one fused sum of products
-(``ring._zq_dot``); other operands fold ``s = s + x*y`` inline.  The
-Hankel sweep runs on Python ints: Z[q] moments are packed at q -> 2^64
-(Kronecker substitution), every quotient is checked from its 64-bit
-slots, and the sweep reruns with wider slots when a check fails.  Field
-moments are graded by index first, mu_j -> d·c^j·mu_j, and each result
-is divided back by peeling one c at a time.
+(``ring._zq_dot``); with other operands each output row is one sum of
+scaled rows (``_row_sum``), whose entries equal the index-by-index fold
+``s = s + x*y``.  The Hankel sweep runs on Python ints: Z[q] moments are
+packed at q -> 2^64 (Kronecker substitution), every quotient is checked
+from its 64-bit slots, and the sweep reruns with wider slots when a
+check fails.  Field moments are graded by index first, mu_j ->
+d·c^j·mu_j, and each result is divided back by peeling one c at a time.
 """
 
 from __future__ import annotations
@@ -68,14 +69,15 @@ class _Rows:
         rs = tuple([tuple(r) for r in rows])
         if not rs:
             raise ValueError(f"empty {type(self).__name__}")
-        types = set()
-        for i, r in enumerate(rs):
-            width = i + 1 + self._extra
-            if len(r) != width:
-                raise ValueError(f"row {i} must have {width} entries, got {len(r)}")
-            types |= _check_scalars(r, "matrix entry")
+        first = 1 + self._extra
+        if [len(r) for r in rs] != list(range(first, first + len(rs))):
+            # the first row that is too short, too long or not all scalars
+            for i, r in enumerate(rs):
+                if len(r) != i + first:
+                    raise ValueError(f"row {i} must have {i + first} entries, got {len(r)}")
+                _check_scalars(r, "matrix entry")
+        self.types = _check_scalars([v for r in rs for v in r], "matrix entry")
         self.rows = rs
-        self.types = types
 
     @property
     def size(self) -> int:
@@ -139,15 +141,10 @@ def generate(P: ProductionMatrix, n: int) -> Triangle:
             prev = rows[r]
             rows.append([_zq_dot(prev[max(0, j - 1) :], cols[j]) for j in range(r + 2)])
         return Triangle(rows)
+    ints = P.types == {int}
+    terms = [_terms(r, ints) for r in P.rows[: n - 1]]
     for r in range(n - 1):
-        prev = rows[r]
-        nxt = []
-        for j in range(r + 2):
-            s = 0
-            for t in range(max(0, j - 1), r + 1):
-                s = s + prev[t] * P.rows[t][j]
-            nxt.append(s)
-        rows.append(nxt)
+        rows.append(_row_sum(rows[r], terms, r + 2, ints))
     return Triangle(rows)
 
 
@@ -165,10 +162,9 @@ def invert(T: Triangle) -> Triangle:
     A unit diagonal keeps every entry in the ring of T; other nonzero
     diagonals lift to the fraction field.  A zero diagonal entry raises.
     """
-    n = T.size
     diag_inv = []
-    for i in range(n):
-        d = T.rows[i][i]
+    for i, r in enumerate(T.rows):
+        d = r[i]
         if d == 0:
             raise ZeroDivisionError(f"zero diagonal entry at row {i}")
         diag_inv.append(1 if d == 1 else (-1 if d == -1 else field_div(1, d)))
@@ -186,14 +182,11 @@ def invert(T: Triangle) -> Triangle:
             cols.append([d])
             rows.append(row)
         return Triangle(rows)
-    rows = [[0] * (i + 1) for i in range(n)]
-    for i in range(n):
-        rows[i][i] = diag_inv[i]
-        for j in range(i - 1, -1, -1):
-            s = 0
-            for t in range(j, i):
-                s = s + T.rows[i][t] * rows[t][j]
-            rows[i][j] = -(diag_inv[i] * s) if s != 0 else 0
+    ints = T.types == {int} and all(type(d) is int for d in diag_inv)
+    rows, terms = [], []
+    for i, (t, d) in enumerate(zip(T.rows, diag_inv)):
+        rows.append([-(d * s) if s != 0 else 0 for s in _row_sum(t, terms, i, ints)] + [d])
+        terms.append(_terms(rows[-1], ints))
     return Triangle(rows)
 
 
@@ -205,16 +198,28 @@ def mul(A: Triangle, B: Triangle) -> Triangle:
     if _fuses(A.types | B.types):
         cols = [[r[j] for r in B.rows[j:]] for j in range(n)]
         return Triangle([[_zq_dot(a[j:], cols[j]) for j in range(len(a))] for a in A.rows])
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(i + 1):
-            s = 0
-            for t in range(j, i + 1):
-                s = s + A.rows[i][t] * B.rows[t][j]
-            row.append(s)
-        rows.append(row)
-    return Triangle(rows)
+    ints = A.types | B.types == {int}
+    terms = [_terms(r, ints) for r in B.rows]
+    return Triangle([_row_sum(a, terms, len(a), ints) for a in A.rows])
+
+
+def _terms(row, ints):
+    """The (column, entry) pairs of a row: over Z its nonzero ones, else all."""
+    return [(j, y) for j, y in enumerate(row) if y] if ints else list(enumerate(row))
+
+
+def _row_sum(xs, rows, width, ints):
+    """Σ_t xs[t]·(row t), the rows given by ``_terms``, as ``width`` entries.
+    Each entry adds its terms t-ascending from 0, as the index-by-index
+    fold does, so value and exact type are the fold's.  Over Z (``ints``)
+    zero terms are skipped, so a banded P generates in O(n^2); over a field
+    every term is kept, as a Fraction(0) would change an int sum's type."""
+    acc = [0] * width
+    for x, row in zip(xs, rows):
+        if x or not ints:
+            for j, y in row:
+                acc[j] = acc[j] + x * y
+    return acc
 
 
 def production_of(T: Triangle, top_inv=None) -> ProductionMatrix:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfmoments import pipeline
 from cfmoments.cfrac import (
     InsufficientCoefficients,
     JFractionCoeffs,
@@ -26,7 +27,15 @@ from cfmoments.pipeline import (
 )
 from cfmoments.ring import QPoly, QRat, eval_q, q, render
 from cfmoments.series import RiordanPair, TruncatedSeries, catalan_series, riordan_matrix
-from cfmoments.triangle import ProductionMatrix, Triangle, generate, invert, mul, production_of
+from cfmoments.triangle import (
+    ProductionMatrix,
+    Triangle,
+    generate,
+    hankel_det,
+    invert,
+    mul,
+    production_of,
+)
 
 
 def ones(n):
@@ -122,6 +131,30 @@ def test_behead_route_closed_form_matches_inverting_the_bidiagonal():
     a = SFractionCoeffs([1, Fraction(1, 2), 0, Fraction(3, 2), 2, 0])
     P = build_N_via_behead(a, 6)[1]
     assert type(P.rows[2][0]) is int and _typed_rows(P) == _typed_rows(_bidiagonal_route(a, 6))
+
+
+def test_behead_route_back_substitution_is_generation_random():
+    # N is found by back-substitution against the bidiagonal, not by
+    # generate: over Z and Z[q] every entry is canonical, so the two agree
+    # in exact type too; over a field only in value, since a Fraction never
+    # demotes and the two routes add different terms (compare clears field
+    # terms into Z first, so no caller passes them)
+    rng = random.Random(20261802)
+    draws = {
+        "int": lambda: rng.choice([0, 1, -1, 2, -3, 5]),
+        "zq": lambda: rng.choice([0, 1, -2, q, 1 + q, 2 - q**2, 3 * q**2]),
+        "fraction": lambda: rng.choice([0, Fraction(0), Fraction(rng.randrange(-5, 6), 3), 2]),
+        "qq": lambda: rng.choice([0, 2, Fraction(1, 3), q, QRat.make(1 + q, 2 - q)]),
+    }
+    for kind, draw in draws.items():
+        for _ in range(25):
+            n = rng.randrange(2, 10)
+            a = SFractionCoeffs([1] + [draw() for _ in range(n - 1)])
+            N, P = build_N_via_behead(a, n)
+            want = generate(P, n)
+            assert N == want, (kind, a.terms)
+            if kind in ("int", "zq"):
+                assert _typed_rows(N) == _typed_rows(want), (kind, a.terms)
 
 
 def test_a_ring_compare_makes_three_inversions_none_in_production_of(monkeypatch):
@@ -248,6 +281,16 @@ def test_build_m_inverts_op_coeff():
     assert P == production_of(M)
 
 
+def test_build_m_names_its_stage_and_size_when_the_routes_disagree(monkeypatch):
+    monkeypatch.setattr(pipeline, "op_coeff_triangle", lambda j, n: Triangle.identity(n))
+    with pytest.raises(ArithmeticError) as e:
+        build_M(ones(10), 5)
+    assert str(e.value) == (
+        "build_M at size 5: internal disagreement between the production "
+        "and polynomial routes"
+    )
+
+
 # --- compare ---
 
 
@@ -257,6 +300,18 @@ def test_compare_catalan_product():
     assert r.C.rows[5] == (0, 1, 4, 6, 4, 1)
     assert all(ok for _, ok in r.diagnostics)
     assert r.mu == [1, 1, 2, 5, 14, 42]
+
+
+def test_compare_names_its_stage_and_size_when_the_routes_disagree(monkeypatch):
+    # the moments' Hankel determinant, one more than the product formula's
+    monkeypatch.setattr(pipeline, "hankel_det", lambda mu, k: 1 + hankel_det(mu, k))
+    for a in (ones(12), SFractionCoeffs([1, Fraction(1, 2)] * 6)):
+        with pytest.raises(ArithmeticError) as e:
+            compare(a, 6)
+        assert str(e.value) == (
+            "compare at size 6: internal disagreement between the determinant "
+            "and product routes for h_5"
+        )
 
 
 def test_compare_symbolic_spot_values():

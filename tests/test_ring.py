@@ -117,6 +117,27 @@ def test_exact_div_ints():
         exact_div(7, 3)
 
 
+def test_exact_div_raises_the_same_on_and_off_the_int_path():
+    # int ÷ int runs before the operands are validated; every other pair
+    # is validated first, so a non-scalar beats a zero divisor
+    for x, y, error, text in [
+        (7, 0, ZeroDivisionError, "exact_div by zero"),
+        (0, 0, ZeroDivisionError, "exact_div by zero"),
+        (-7, 2, ExactDivisionError, "-7 not divisible by 2"),
+        (q, 0, ZeroDivisionError, "exact_div by zero"),
+        (Fraction(1, 2), 0, ZeroDivisionError, "exact_div by zero"),
+        (True, 0, TypeError, "incompatible ring value: True"),
+        (7, False, TypeError, "incompatible ring value: False"),
+        (_Int(7), 0, TypeError, "incompatible ring value: 7"),
+        (7, 0.0, TypeError, "incompatible ring value: 0.0"),
+        ("7", 0, TypeError, "incompatible ring value: '7'"),
+    ]:
+        with pytest.raises(error) as e:
+            exact_div(x, y)
+        assert type(e.value) is error and str(e.value) == text
+    assert type(exact_div(-6, 3)) is int and exact_div(-6, 3) == -2
+
+
 def test_exact_div_polys():
     assert exact_div(q**3, q) == q**2
     assert exact_div(q**2 - 1, q - 1) == q + 1

@@ -449,6 +449,83 @@ def test_kernels_match_the_operator_fold_random():
                 assert _typed([got]) == _typed([dets])
 
 
+def _int_or_fraction_entry(rng):
+    return rng.choice((_int_entry, _fraction_entry))(rng)
+
+
+def _banded_row(rng, entry, zero, width, band):
+    """``width`` entries, zero (given as ``zero``) left of the last ``band``
+    columns and in about a quarter of the others."""
+    return [zero if j < width - band or rng.random() < 0.25 else entry(rng) for j in range(width)]
+
+
+# rings off the fused Z[q] path, each with a unit and a non-unit diagonal
+_ROW_SUM_RINGS = [
+    (_int_entry, (1, -1), (2, -3)),
+    (_fraction_entry, (1, Fraction(-1)), (Fraction(2, 3), Fraction(-5, 2))),
+    (_qq_entry, (1, -1), (QRat.make(1, 1 + q), 1 - q)),
+    (_int_or_fraction_entry, (1, -1), (2, Fraction(-5, 2))),
+]
+
+
+def test_row_sums_match_the_index_fold_random():
+    # generate, invert and mul build each row as a sum of scaled rows; the
+    # index-by-index fold above is the oracle.  Over Z a zero multiplier is
+    # skipped and a row starts at its first nonzero entry; a Fraction(0)
+    # zero keeps every term, or the sum's type would change.  Production
+    # rows are bidiagonal (band 2), tridiagonal (band 3) or dense.
+    rng = random.Random(20261018)
+    for entry, units, non_units in _ROW_SUM_RINGS:
+        for zero in (0, Fraction(0)):
+            for band in (2, 3, 99):
+                for _ in range(6):
+                    n = rng.randrange(1, 9)
+                    P = ProductionMatrix(
+                        [_banded_row(rng, entry, zero, i + 2, band) for i in range(n)]
+                    )
+                    assert _typed(generate(P, n + 1).rows) == _typed(_generate_ref(P, n + 1))
+                    # unit and non-unit diagonals mixed: int rows of the
+                    # inverse meet Fraction rows in one sum
+                    for diagonal in (units, non_units, units + non_units):
+                        T = Triangle(
+                            [
+                                _banded_row(rng, entry, zero, i, band - 1) + [rng.choice(diagonal)]
+                                for i in range(n)
+                            ]
+                        )
+                        assert _typed(invert(T).rows) == _typed(_invert_ref(T))
+                    A, B = (
+                        Triangle([_banded_row(rng, entry, zero, i + 1, band) for i in range(n)])
+                        for _ in range(2)
+                    )
+                    assert _typed(mul(A, B).rows) == _typed(_mul_ref(A, B))
+    # an int zero times a Fraction row of the inverse, beside int terms:
+    # the fold's sum is a Fraction, so the zero may not be skipped
+    T = Triangle([[1], [1, 2], [1, 0, 1]])
+    assert type(invert(T).rows[2][0]) is Fraction
+    assert _typed(invert(T).rows) == _typed(_invert_ref(T))
+
+
+def test_row_store_raises_the_first_bad_rows_error():
+    # one scalar check covers every entry when the widths are right; a bad
+    # width walks the rows, so the first bad row decides the error either way
+    for cls, rows, error, text in [
+        (Triangle, [[1], [1.5, 1], [1, 2]], TypeError, "matrix entry is not a ring scalar: 1.5"),
+        (Triangle, [[1], [1, 1], [1, True, "x"]], TypeError, "not a ring scalar: True"),
+        (Triangle, [[1], [1, 2, 3], ["x", 1, 1]], ValueError, "row 1 must have 2 entries, got 3"),
+        (Triangle, [[1], [1, "x"], [1, 2, 3, 4]], TypeError, "not a ring scalar: 'x'"),
+        (Triangle, [["x"], [1]], TypeError, "not a ring scalar: 'x'"),
+        (Triangle, [[1], [1]], ValueError, "row 1 must have 2 entries, got 1"),
+        (ProductionMatrix, [[1, 1], [1, 1.0, 1]], TypeError, "not a ring scalar: 1.0"),
+        (ProductionMatrix, [[1, 1], [1, 1]], ValueError, "row 1 must have 3 entries, got 2"),
+        (ProductionMatrix, [[1, 0.5], [1, 1]], TypeError, "not a ring scalar: 0.5"),
+    ]:
+        with pytest.raises(error) as e:
+            cls(rows)
+        assert type(e.value) is error and text in str(e.value)
+    assert Triangle([[1], [Fraction(1, 2), q]]).types == {int, Fraction, QPoly}
+
+
 def _stack_spies(monkeypatch, kernel_fns):
     """Calls of QPoly products and sums and of the Z[q] division and dot
     kernels, each tagged with the innermost of ``kernel_fns`` on the stack
