@@ -7,6 +7,10 @@ beheading the inverse of a bidiagonal matrix, one generated by the
 tridiagonal production matrix of the equivalent two-parameter form.
 Their product (inverse of the first times the second) is the object of
 interest; production matrices of all three are part of the result.
+The rows of the inverses of the two triangles are the polynomials of the
+two continued fractions, so the inverse of the first, the product and
+the product's inverse each come from a three-term row recurrence in
+O(n^2) ring operations, with no triangle inverted or multiplied.
 
 ``verify_example`` replays a named example against frozen reference
 values and live structural identities, reporting pass, fail, or
@@ -16,6 +20,8 @@ with the independent evidence.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .cfrac import (
     InsufficientCoefficients,
@@ -104,11 +110,17 @@ def build_N_via_behead(a: SFractionCoeffs, n: int) -> tuple[Triangle, Production
     rows, N = [[1]], [[1]]
     for t in a.terms[: n - 1]:
         rows.append([v * t or 0 for v in rows[-1]] + [1])
-        x = [0, *N[-1]]
-        for k in range(len(x) - 2, -1, -1):
-            x[k] = x[k] + a.terms[k] * x[k + 1]
-        N.append(x)
+        N.append(_times_behead(a.terms, N[-1]))
     return Triangle(N), behead(Triangle(rows))
+
+
+def _times_behead(a, v):
+    """v·P, P the production matrix of ``build_N_via_behead`` for the terms
+    a: (0, v)·B^-1, solved against B from the right, x[k] += a_{k+1}·x[k+1]."""
+    x = [0, *v]
+    for k in range(len(x) - 2, -1, -1):
+        x[k] = x[k] + a[k] * x[k + 1]
+    return x
 
 
 def build_N_via_rescale(a: SFractionCoeffs, n: int) -> Triangle:
@@ -138,7 +150,10 @@ def op_coeff_triangle(j: JFractionCoeffs, n: int) -> Triangle:
     """Coefficient triangle of the monic polynomial family attached to
     the two-parameter coefficients: p_0 = 1, p_1 = x - b_0, and
     p_r = (x - b_{r-1}) p_{r-1} - l_{r-1} p_{r-2}; row r holds the
-    coefficients of p_r, ascending."""
+    coefficients of p_r, ascending.  This is M^-1, M the moment triangle
+    of the same coefficients, and its rows come from the recurrence that
+    also gives ``compare`` its C^-1 = M^-1·N (``_j_polynomial_rows``, with
+    the shift as row operator): O(n^2) ring operations."""
     if n < 1:
         raise ValueError("size must be positive")
     if len(j.b) < n - 1 or len(j.lam) < n - 2:
@@ -146,24 +161,7 @@ def op_coeff_triangle(j: JFractionCoeffs, n: int) -> Triangle:
             f"need {n - 1} b and {max(0, n - 2)} l coefficients, "
             f"got {len(j.b)} and {len(j.lam)}"
         )
-    rows = [[1]]
-    if n == 1:
-        return Triangle(rows)
-    prev, cur = [1], [-j.b[0], 1]
-    rows.append(cur)
-    for r in range(2, n):
-        b, lam = j.b[r - 1], j.lam[r - 2]
-        nxt = [0] * (r + 1)
-        for i, c in enumerate(cur):
-            nxt[i + 1] = nxt[i + 1] + c
-            if c != 0:
-                nxt[i] = nxt[i] - b * c
-        for i, c in enumerate(prev):
-            if c != 0:
-                nxt[i] = nxt[i] - lam * c
-        prev, cur = cur, nxt
-        rows.append(cur)
-    return Triangle(rows)
+    return Triangle(_j_polynomial_rows(j.b, j.lam, n, _shift))
 
 
 def build_M(a: SFractionCoeffs, n: int) -> tuple[Triangle, ProductionMatrix]:
@@ -195,6 +193,64 @@ def build_M(a: SFractionCoeffs, n: int) -> tuple[Triangle, ProductionMatrix]:
             "and polynomial routes"
         )
     return via_production, P
+
+
+def _times_tridiagonal(b, lam, v):
+    """v·P, P the tridiagonal production matrix with rows
+    (..., l_i, b_i, 1): entry j is v[j-1] + b_j·v[j] + l_{j+1}·v[j+1]."""
+    x = [0, *v]
+    for j, c in enumerate(v):
+        x[j] = x[j] + b[j] * c
+        if j:
+            x[j - 1] = x[j - 1] + lam[j - 1] * c
+    return x
+
+
+def _shift(v):
+    """v·P for the identity triangle, whose production matrix is the shift."""
+    return [0, *v]
+
+
+def _s_polynomial_rows(a, n, times_P):
+    """Rows 0..n-1 of N^-1·T, N generated by ``build_N_via_behead`` from
+    the terms a and T from the row operator v -> v·P: Z_0 = (1),
+    Z_1 = Z_0·P - a_1·Z_0 and Z_{k+1} = (Z_k - a_{k+1}·Z_{k-1})·P, since
+    row k of N^-1 holds the coefficients of the S-fraction's polynomial
+    q_k and q_{k+1}(x) = x·(q_k(x) - a_{k+1}·q_{k-1}(x)) (Viennot 1983).
+    O(n^2) ring operations when v·P costs O(len(v))."""
+    first = times_P([1])
+    first[0] = first[0] - a[0]
+    rows = [[1], first]
+    for k in range(1, n - 1):
+        z = rows[k][:]
+        for i, v in enumerate(rows[k - 1]):
+            if v:
+                z[i] = z[i] - a[k] * v
+        rows.append(times_P(z))
+    return rows
+
+
+def _j_polynomial_rows(b, lam, n, times_P):
+    """Rows 0..n-1 of M^-1·T, M the moment triangle of the two-parameter
+    coefficients b0, b1, ... and l1, l2, ... and T generated by the row
+    operator v -> v·P: Y_0 = (1) and Y_{i+1} = Y_i·P - b_i·Y_i - l_i·Y_{i-1},
+    since row i of M^-1 holds the coefficients of the monic polynomial
+    p_i and p_{i+1}(x) = (x - b_i)·p_i(x) - l_i·p_{i-1}(x).  The b and l
+    terms are subtracted left to right and skip zero entries of Y, and no
+    entry is demoted, so over a field each keeps the exact type of that
+    fold.  O(n^2) ring operations when v·P costs O(len(v))."""
+    rows = [[1]]
+    for i in range(n - 1):
+        y = times_P(rows[i])
+        for k, c in enumerate(rows[i]):
+            if c != 0:
+                y[k] = y[k] - b[i] * c
+        if i:
+            for k, c in enumerate(rows[i - 1]):
+                if c != 0:
+                    y[k] = y[k] - lam[i - 1] * c
+        rows.append(y)
+    return rows
 
 
 class ComparisonResult:
@@ -241,6 +297,14 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
     signals a bug and raises.  ``prodN`` and ``prodM`` are the builders'
     own production matrices (a unit-diagonal triangle has only one); C's
     top rows invert those of C^-1, whose production matrix is ``prodCinv``.
+
+    N^-1, C = N^-1·M and C^-1 = M^-1·N come from the row recurrences of
+    the two polynomial families (``_s_polynomial_rows``,
+    ``_j_polynomial_rows``) in O(n^2) ring operations each.  They share
+    no step, so row n-1 of C^-1 times C must be e_{n-1}; disagreement
+    raises.  ``verify_example`` still cross-checks C and ``prodCinv``
+    with the generic kernels (``specializes-symbolic-product``,
+    ``flag-triangle-production``).
 
     Field input (a Fraction or QRat among the 2n terms) runs over Z or
     Z[q]: every output is homogeneous in the a_i (Flajolet 1980), so the
@@ -301,9 +365,18 @@ def _compare_ring(a: SFractionCoeffs, n: int) -> ComparisonResult:
     N, prodN = build_N_via_behead(a, n)
     N_again = build_N_via_rescale(a, n)
     M, prodM = build_M(a, n)
-    Ninv = invert(N)
-    C = mul(Ninv, M)
-    prodCinv = production_of(invert(C), Triangle(C.rows[:-1]))
+    b = [r[i] for i, r in enumerate(prodM.rows)]
+    lam = [r[i - 1] for i, r in enumerate(prodM.rows) if i]
+    Ninv = Triangle(_s_polynomial_rows(a.terms, n, _shift))
+    C = Triangle(_s_polynomial_rows(a.terms, n, partial(_times_tridiagonal, b, lam)))
+    Cinv = _j_polynomial_rows(b, lam, n, partial(_times_behead, a.terms))
+    # the two recurrences are independent: row n-1 of C^-1 times C is e_{n-1}
+    last = [sum([x * r[j] for x, r in zip(Cinv[-1][j:], C.rows[j:])]) for j in range(n)]
+    if last != [0] * (n - 1) + [1]:
+        raise ArithmeticError(
+            f"compare at size {n}: internal disagreement between C and its inverse"
+        )
+    prodCinv = production_of(Triangle(Cinv), Triangle(C.rows[:-1]))
     mu = mu_long[:n]
     diagnostics = [
         ("construction-route-agreement", N == N_again),

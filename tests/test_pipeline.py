@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -157,30 +158,38 @@ def test_behead_route_back_substitution_is_generation_random():
                 assert _typed_rows(N) == _typed_rows(want), (kind, a.terms)
 
 
-def test_a_ring_compare_makes_three_inversions_none_in_production_of(monkeypatch):
-    # N's bidiagonal inverse is a table of products and C's top rows
-    # invert those of C^-1, so only C^-1, N^-1 and build_M's polynomial
-    # route invert a triangle
+def test_a_ring_compare_inverts_once_in_build_m_and_multiplies_once_in_production_of(monkeypatch):
+    # N^-1, C and C^-1 come from row recurrences and C's top rows invert
+    # those of C^-1, so only build_M's polynomial route inverts a triangle
+    # and only production_of multiplies two
     import cfmoments.pipeline as pipeline
     import cfmoments.triangle as triangle
 
-    calls, depth = [], []
-    real_invert, real_production_of = triangle.invert, pipeline.production_of
+    calls, where = [], ["compare"]
 
-    def counted_invert(*args):
-        calls.append(bool(depth))
-        return real_invert(*args)
+    def counted(name, real):
+        def call(*args):
+            calls.append((name, where[-1]))
+            return real(*args)
 
-    def counted_production_of(*args):
-        depth.append(1)
-        try:
-            return real_production_of(*args)
-        finally:
-            depth.pop()
+        return call
 
-    monkeypatch.setattr(triangle, "invert", counted_invert)
-    monkeypatch.setattr(pipeline, "invert", counted_invert)
-    monkeypatch.setattr(pipeline, "production_of", counted_production_of)
+    def inside(name, real):
+        def call(*args):
+            where.append(name)
+            try:
+                return real(*args)
+            finally:
+                where.pop()
+
+        return call
+
+    counted_invert, counted_mul = counted("invert", triangle.invert), counted("mul", triangle.mul)
+    for module in (triangle, pipeline):
+        monkeypatch.setattr(module, "invert", counted_invert)
+        monkeypatch.setattr(module, "mul", counted_mul)
+    monkeypatch.setattr(pipeline, "build_M", inside("build_M", pipeline.build_M))
+    monkeypatch.setattr(pipeline, "production_of", inside("production_of", pipeline.production_of))
     for a, n in (
         (alternating(16), 8),
         (q_powers(12), 6),
@@ -188,7 +197,7 @@ def test_a_ring_compare_makes_three_inversions_none_in_production_of(monkeypatch
     ):
         calls.clear()
         assert all(ok for _, ok in compare(a, n).diagnostics)
-        assert calls == [False, False, False]
+        assert calls == [("invert", "build_M"), ("mul", "production_of")]
 
 
 def test_a_field_compare_divides_each_distinct_entry_back_once(monkeypatch):
@@ -257,6 +266,86 @@ def test_op_coeff_insufficient():
         op_coeff_triangle(JFractionCoeffs([1, 2], [1]), 4)
 
 
+def _op_coeff_ref(j, n):
+    """The coefficient triangle by an index-by-index loop that shares no
+    code with compare's recurrences: the reference for exact types."""
+    rows = [[1]]
+    if n == 1:
+        return Triangle(rows)
+    prev, cur = [1], [-j.b[0], 1]
+    rows.append(cur)
+    for r in range(2, n):
+        b, lam = j.b[r - 1], j.lam[r - 2]
+        nxt = [0] * (r + 1)
+        for i, c in enumerate(cur):
+            nxt[i + 1] = nxt[i + 1] + c
+            if c != 0:
+                nxt[i] = nxt[i] - b * c
+        for i, c in enumerate(prev):
+            if c != 0:
+                nxt[i] = nxt[i] - lam * c
+        prev, cur = cur, nxt
+        rows.append(cur)
+    return Triangle(rows)
+
+
+_RECURRENCE_DRAWS = {
+    "int": lambda rng: rng.choice([0, 1, -1, 2, -3, 5]),
+    "zq": lambda rng: rng.choice([0, 1, -2, q, 1 + q, 2 - q**2, -3 * q**2]),
+    "fraction": lambda rng: rng.choice(
+        [0, Fraction(0), 2, -1, Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))]
+    ),
+    "qq": lambda rng: rng.choice([0, Fraction(0), -2, Fraction(1, 3), q, QRat.make(1 + q, 2 - q)]),
+}
+
+
+def test_op_coeff_triangle_matches_its_old_loop_in_exact_type():
+    # the shared recurrence subtracts the b and l terms as the old loop
+    # did and demotes no zero, so a Fraction(0) entry stays a Fraction
+    rng = random.Random(20261901)
+    seen_fraction_zero = False
+    for kind, draw in _RECURRENCE_DRAWS.items():
+        for _ in range(40):
+            n = rng.randrange(1, 9)
+            j = JFractionCoeffs([draw(rng) for _ in range(n)], [draw(rng) for _ in range(n - 1)])
+            got, want = op_coeff_triangle(j, n), _op_coeff_ref(j, n)
+            assert _typed_rows(got) == _typed_rows(want), (kind, j)
+            seen_fraction_zero |= any(
+                type(v) is Fraction and v == 0 for row in got.rows for v in row
+            )
+    assert seen_fraction_zero
+
+
+def test_row_recurrences_match_the_generic_kernels_in_exact_type():
+    # N^-1, C = N^-1·M and C^-1 = M^-1·N by their row recurrences against
+    # invert and mul, over Z and Z[q] with zeros, negative terms and any a_1
+    rng = random.Random(20261902)
+    seen_zero = set()
+    for kind in ("int", "zq"):
+        draw = _RECURRENCE_DRAWS[kind]
+        for _ in range(40):
+            n = rng.randrange(2, 10)
+            a = SFractionCoeffs([draw(rng) for _ in range(2 * n)])
+            N, _ = build_N_via_behead(a, n)
+            M, P = build_M(a, n)
+            b = [r[i] for i, r in enumerate(P.rows)]
+            lam = [r[i - 1] for i, r in enumerate(P.rows) if i]
+            Ninv = invert(N)
+            C = mul(Ninv, M)
+            got_ninv = Triangle(pipeline._s_polynomial_rows(a.terms, n, pipeline._shift))
+            times_M = partial(pipeline._times_tridiagonal, b, lam)
+            got_c = Triangle(pipeline._s_polynomial_rows(a.terms, n, times_M))
+            got_cinv = Triangle(
+                pipeline._j_polynomial_rows(b, lam, n, partial(pipeline._times_behead, a.terms))
+            )
+            assert _typed_rows(got_ninv) == _typed_rows(Ninv), (kind, a.terms)
+            assert _typed_rows(got_c) == _typed_rows(C), (kind, a.terms)
+            assert _typed_rows(got_cinv) == _typed_rows(invert(C)), (kind, a.terms)
+            if 0 in a.terms[: 2 * n - 1]:
+                seen_zero.add(kind)
+    assert seen_zero == {"int", "zq"}
+
+
 def test_build_m_first_column_is_moments():
     from cfmoments.cfrac import moments_from_sfraction
 
@@ -312,6 +401,23 @@ def test_compare_names_its_stage_and_size_when_the_routes_disagree(monkeypatch):
             "compare at size 6: internal disagreement between the determinant "
             "and product routes for h_5"
         )
+
+
+def test_compare_names_its_stage_and_size_when_c_and_its_inverse_disagree(monkeypatch):
+    # N^-1 and C with a 1 added at the start of their last row: C is no
+    # longer the inverse of the C^-1 that the other recurrence builds
+    real = pipeline._s_polynomial_rows
+
+    def off_by_one(a, n, times_P):
+        rows = real(a, n, times_P)
+        rows[-1][0] = rows[-1][0] + 1
+        return rows
+
+    monkeypatch.setattr(pipeline, "_s_polynomial_rows", off_by_one)
+    for a in (ones(12), q_powers(12), SFractionCoeffs([1, Fraction(1, 2)] * 6)):
+        with pytest.raises(ArithmeticError) as e:
+            compare(a, 6)
+        assert str(e.value) == "compare at size 6: internal disagreement between C and its inverse"
 
 
 def test_compare_symbolic_spot_values():
