@@ -58,6 +58,7 @@ from .series import (
 from .triangle import (
     ProductionMatrix,
     Triangle,
+    _times,
     behead,
     generate,
     hankel_det,
@@ -193,17 +194,6 @@ def build_M(a: SFractionCoeffs, n: int) -> tuple[Triangle, ProductionMatrix]:
             "and polynomial routes"
         )
     return via_production, P
-
-
-def _times_tridiagonal(b, lam, v):
-    """v·P, P the tridiagonal production matrix with rows
-    (..., l_i, b_i, 1): entry j is v[j-1] + b_j·v[j] + l_{j+1}·v[j+1]."""
-    x = [0, *v]
-    for j, c in enumerate(v):
-        x[j] = x[j] + b[j] * c
-        if j:
-            x[j - 1] = x[j - 1] + lam[j - 1] * c
-    return x
 
 
 def _shift(v):
@@ -368,7 +358,7 @@ def _compare_ring(a: SFractionCoeffs, n: int) -> ComparisonResult:
     b = [r[i] for i, r in enumerate(prodM.rows)]
     lam = [r[i - 1] for i, r in enumerate(prodM.rows) if i]
     Ninv = Triangle(_s_polynomial_rows(a.terms, n, _shift))
-    C = Triangle(_s_polynomial_rows(a.terms, n, partial(_times_tridiagonal, b, lam)))
+    C = Triangle(_s_polynomial_rows(a.terms, n, _times(prodM)))
     Cinv = _j_polynomial_rows(b, lam, n, partial(_times_behead, a.terms))
     # the two recurrences are independent: row n-1 of C^-1 times C is e_{n-1}
     last = [sum([x * r[j] for x, r in zip(Cinv[-1][j:], C.rows[j:])]) for j in range(n)]

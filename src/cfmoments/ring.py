@@ -16,11 +16,11 @@ returns at once when 1 is left, and otherwise long-divides, which for a
 constant is one divmod per coefficient.  The q-case divides almost only
 by monomials: its column divisors are powers of q.
 
-A sum of products Σ x·y whose operands are all ints and QPolys, one of
-them at least a QPoly, runs as one fused kernel (``_zq_dot``) that adds
-every term into one coefficient list, with the same shape rules.  The
-triangle kernels choose it once per call from their operands' types;
-int and field operands keep the operator fold.
+The triangle kernels' row sum accumulates each Z[q] entry as one
+coefficient list: every term x·y adds into it through ``_zq_addmul``,
+with the same shape rules, and ``QPoly._from_ints`` closes it, so no
+QPoly product or partial sum is built.  Int and field entries keep the
+operator fold.
 
 The Z[q] Hankel sweep runs on integers instead (Kronecker substitution):
 ``_zq_pack`` maps a value to its image under q -> 2^(64m), one
@@ -511,59 +511,46 @@ def _check_scalars(values, what):
     return types
 
 
-def _fuses(types) -> bool:
-    """True when ``_zq_dot`` applies to operands of these types: every one
-    an int or a QPoly, and at least one a QPoly."""
-    return QPoly in types and types <= _ZQ_TYPES
+def _zq_addmul(acc, x, y):
+    """Add x·y, two nonzero ints or QPolys, into the coefficient list acc,
+    growing it as needed; no product or partial sum is built.
 
-
-def _zq_dot(xs, ys):
-    """Σ x·y over paired int and QPoly operands, equal in value and exact
-    type to folding ``s = s + x*y`` from 0.
-
-    Every term adds into one coefficient list, so no product or partial
-    sum is built.  A zero operand adds nothing.  When one operand is an
-    int or a monomial c·q^m, the other is scaled by c into the list at
-    offset m, in one step if it is a monomial too.  Only two polynomials
-    of two or more terms each run the schoolbook loop.
+    When one operand is an int or a monomial c·q^m, the other is scaled
+    by c into the list at offset m, in one step if it is a monomial too.
+    Only two polynomials of two or more terms each run the schoolbook
+    loop.  ``QPoly._from_ints(acc)`` closes the sum.
     """
-    acc = [0]
-    for x, y in zip(xs, ys):
-        # int 0 is the only false operand: a QPoly is never zero
-        if not x or not y:
-            continue
-        if type(x) is int:
-            if type(y) is int:
-                acc[0] += x * y
-                continue
-            c, m, p = x, 0, y.coeffs
-        elif type(y) is int:
-            c, m, p = y, 0, x.coeffs
+    if type(x) is int:
+        if type(y) is int:
+            acc[0] += x * y
+            return
+        c, m, p = x, 0, y.coeffs
+    elif type(y) is int:
+        c, m, p = y, 0, x.coeffs
+    else:
+        a, b = x.coeffs, y.coeffs
+        if not any(a[:-1]):
+            c, m, p = a[-1], len(a) - 1, b
+        elif not any(b[:-1]):
+            c, m, p = b[-1], len(b) - 1, a
         else:
-            a, b = x.coeffs, y.coeffs
-            if not any(a[:-1]):
-                c, m, p = a[-1], len(a) - 1, b
-            elif not any(b[:-1]):
-                c, m, p = b[-1], len(b) - 1, a
-            else:
-                top = len(a) + len(b) - 1
-                if len(acc) < top:
-                    acc += [0] * (top - len(acc))
-                for i, c in enumerate(a):
-                    if c:
-                        for k, v in enumerate(b, i):
-                            acc[k] += c * v
-                continue
-        # c·q^m times p
-        top = m + len(p)
-        if len(acc) < top:
-            acc += [0] * (top - len(acc))
-        if any(p[:-1]):
-            for k, v in enumerate(p, m):
-                acc[k] += c * v
-        else:
-            acc[top - 1] += c * p[-1]
-    return acc[0] if len(acc) == 1 else QPoly._from_ints(acc)
+            top = len(a) + len(b) - 1
+            if len(acc) < top:
+                acc += [0] * (top - len(acc))
+            for i, c in enumerate(a):
+                if c:
+                    for k, v in enumerate(b, i):
+                        acc[k] += c * v
+            return
+    # c·q^m times p
+    top = m + len(p)
+    if len(acc) < top:
+        acc += [0] * (top - len(acc))
+    if any(p[:-1]):
+        for k, v in enumerate(p, m):
+            acc[k] += c * v
+    else:
+        acc[top - 1] += c * p[-1]
 
 
 # array('q') holds its items in native byte order; the packed integers

@@ -7,15 +7,16 @@ in O(n^2) ring operations, with Bareiss elimination only when a leading
 minor vanishes.
 
 Everything is exact; entries are ring scalars and all divisions either
-stay in the ring or raise.  Over Z[q], with a QPoly among the operands,
-each entry of generate, invert and mul is one fused sum of products
-(``ring._zq_dot``); with other operands each output row is one sum of
-scaled rows (``_row_sum``), whose entries equal the index-by-index fold
-``s = s + x*y``.  The Hankel sweep runs on Python ints: Z[q] moments are
-packed at q -> 2^64 (Kronecker substitution), every quotient is checked
-from its 64-bit slots, and the sweep reruns with wider slots when a
-check fails.  Field moments are graded by index first, mu_j ->
-d·c^j·mu_j, and each result is divided back by peeling one c at a time.
+stay in the ring or raise.  generate, invert and mul each build every
+output row as one sum of scaled rows (``_row_sum``), over the ring their
+operands' types name once per call: Z, Z[q] or the fraction field.  Its
+entries equal the index-by-index fold ``s = s + x*y``; over Z[q] each is
+one coefficient list that every term adds into.  The Hankel sweep runs
+on Python ints: Z[q] moments are packed at q -> 2^64 (Kronecker
+substitution), every quotient is checked from its 64-bit slots, and the
+sweep reruns with wider slots when a check fails.  Field moments are
+graded by index first, mu_j -> d·c^j·mu_j, and each result is divided
+back by peeling one c at a time.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from .ring import (
     ExactDivisionError,
     QPoly,
     _check_scalars,
-    _fuses,
     _graded,
     _in_zq,
     _peel,
+    _zq_addmul,
     _zq_coeffs,
-    _zq_dot,
     _zq_pack,
     _zq_slots,
     _zq_unpack,
@@ -102,9 +102,9 @@ class Triangle(_Rows):
 
     def entry(self, i, j):
         """Entry at (i, j); zero above the diagonal."""
-        if j > i:
-            return 0
-        return self.rows[i][j]
+        self._check_index(i)
+        self._check_index(j)
+        return self.rows[i][j] if j <= i else 0
 
     @property
     def unit_diagonal(self) -> bool:
@@ -112,7 +112,12 @@ class Triangle(_Rows):
 
     def column(self, k):
         """Column k padded to full height with structural zeros."""
-        return tuple([self.entry(i, k) for i in range(self.size)])
+        self._check_index(k)
+        return tuple([r[k] if k <= i else 0 for i, r in enumerate(self.rows)])
+
+    def _check_index(self, k):
+        if not 0 <= k < self.size:
+            raise IndexError(f"index {k} outside a triangle of size {self.size}")
 
     @staticmethod
     def identity(n) -> "Triangle":
@@ -133,18 +138,10 @@ def generate(P: ProductionMatrix, n: int) -> Triangle:
         raise ValueError("need at least one row")
     if P.size < n - 1:
         raise ValueError(f"production matrix has {P.size} rows, need {n - 1}")
+    times_P = _times(P)
     rows = [[1]]
-    if _fuses(P.types):
-        # column j of P from its first entry, in row j - 1 (row 0 for j = 0)
-        cols = [[r[j] for r in P.rows[max(0, j - 1) : n - 1]] for j in range(n)]
-        for r in range(n - 1):
-            prev = rows[r]
-            rows.append([_zq_dot(prev[max(0, j - 1) :], cols[j]) for j in range(r + 2)])
-        return Triangle(rows)
-    ints = P.types == {int}
-    terms = [_terms(r, ints) for r in P.rows[: n - 1]]
     for r in range(n - 1):
-        rows.append(_row_sum(rows[r], terms, r + 2, ints))
+        rows.append(times_P(rows[r]))
     return Triangle(rows)
 
 
@@ -168,25 +165,14 @@ def invert(T: Triangle) -> Triangle:
         if d == 0:
             raise ZeroDivisionError(f"zero diagonal entry at row {i}")
         diag_inv.append(1 if d == 1 else (-1 if d == -1 else field_div(1, d)))
-    if _fuses(T.types | set(map(type, diag_inv))):
-        # every diagonal entry is a unit of Z[q], so 1 or -1
-        rows = []
-        cols = []  # column j of the inverse from row j down to the last row built
-        for t, d in zip(T.rows, diag_inv):
-            row = [_zq_dot(t[j:], col) for j, col in enumerate(cols)]
-            if d == 1:
-                row = [-s for s in row]
-            for col, v in zip(cols, row):
-                col.append(v)
-            row.append(d)
-            cols.append([d])
-            rows.append(row)
-        return Triangle(rows)
-    ints = T.types == {int} and all(type(d) is int for d in diag_inv)
+    ring = _ring(T.types | set(map(type, diag_inv)))
     rows, terms = [], []
     for i, (t, d) in enumerate(zip(T.rows, diag_inv)):
-        rows.append([-(d * s) if s != 0 else 0 for s in _row_sum(t, terms, i, ints)] + [d])
-        terms.append(_terms(rows[-1], ints))
+        # -d·s with no product when d is 1 or -1; a zero sum is int 0
+        sums = _row_sum(t, terms, i, ring)
+        rows.append([0 if s == 0 else -s if d == 1 else s if d == -1 else -(d * s) for s in sums])
+        rows[-1].append(d)
+        terms.append(_terms(rows[-1], ring))
     return Triangle(rows)
 
 
@@ -194,29 +180,54 @@ def mul(A: Triangle, B: Triangle) -> Triangle:
     """Matrix product of two triangles of the same size."""
     if A.size != B.size:
         raise ValueError("size mismatch")
-    n = A.size
-    if _fuses(A.types | B.types):
-        cols = [[r[j] for r in B.rows[j:]] for j in range(n)]
-        return Triangle([[_zq_dot(a[j:], cols[j]) for j in range(len(a))] for a in A.rows])
-    ints = A.types | B.types == {int}
-    terms = [_terms(r, ints) for r in B.rows]
-    return Triangle([_row_sum(a, terms, len(a), ints) for a in A.rows])
+    ring = _ring(A.types | B.types)
+    terms = [_terms(r, ring) for r in B.rows]
+    return Triangle([_row_sum(a, terms, len(a), ring) for a in A.rows])
 
 
-def _terms(row, ints):
-    """The (column, entry) pairs of a row: over Z its nonzero ones, else all."""
-    return [(j, y) for j, y in enumerate(row) if y] if ints else list(enumerate(row))
+# ring tags of the row sum, one per kernel call
+_Z, _ZQ, _FIELD = "Z", "Z[q]", "field"
 
 
-def _row_sum(xs, rows, width, ints):
+def _ring(types):
+    """The ring tag of entries of these types: Z for ints only, Z[q] for
+    ints and QPolys with a QPoly present, the fraction field otherwise."""
+    return _Z if types == {int} else _ZQ if types <= _ZQ_TYPES else _FIELD
+
+
+def _times(P):
+    """The row operator v -> v·P for v of at most P.size entries, ints or
+    QPolys when P's entries are: v·P has one entry more than v."""
+    ring = _ring(P.types)
+    terms = [_terms(r, ring) for r in P.rows]
+    return lambda v: _row_sum(v, terms, len(v) + 1, ring)
+
+
+def _terms(row, ring):
+    """The (column, entry) pairs of a row: over Z and Z[q] its nonzero
+    ones, over a field all."""
+    return list(enumerate(row)) if ring is _FIELD else [(j, y) for j, y in enumerate(row) if y]
+
+
+def _row_sum(xs, rows, width, ring):
     """Σ_t xs[t]·(row t), the rows given by ``_terms``, as ``width`` entries.
-    Each entry adds its terms t-ascending from 0, as the index-by-index
-    fold does, so value and exact type are the fold's.  Over Z (``ints``)
-    zero terms are skipped, so a banded P generates in O(n^2); over a field
-    every term is kept, as a Fraction(0) would change an int sum's type."""
+    Each entry equals in value and exact type the index-by-index fold
+    ``s = s + x*y`` from 0, t ascending.  Over Z and Z[q] zero terms are
+    skipped, so a banded P generates in O(n^2); over a field every term is
+    kept, as a Fraction(0) would change an int sum's type.  Over Z[q] each
+    entry is one coefficient list that every term adds into
+    (``ring._zq_addmul``), closed once by ``QPoly._from_ints``."""
+    if ring is _ZQ:
+        accs = [[0] for _ in range(width)]
+        for x, row in zip(xs, rows):
+            if x:
+                for j, y in row:
+                    _zq_addmul(accs[j], x, y)
+        return [QPoly._from_ints(acc) for acc in accs]
     acc = [0] * width
+    keep = ring is _FIELD
     for x, row in zip(xs, rows):
-        if x or not ints:
+        if x or keep:
             for j, y in row:
                 acc[j] = acc[j] + x * y
     return acc

@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from cfmoments import pipeline
+from cfmoments import pipeline, triangle
 from cfmoments.cfrac import (
     InsufficientCoefficients,
     JFractionCoeffs,
@@ -162,9 +162,6 @@ def test_a_ring_compare_inverts_once_in_build_m_and_multiplies_once_in_productio
     # N^-1, C and C^-1 come from row recurrences and C's top rows invert
     # those of C^-1, so only build_M's polynomial route inverts a triangle
     # and only production_of multiplies two
-    import cfmoments.pipeline as pipeline
-    import cfmoments.triangle as triangle
-
     calls, where = [], ["compare"]
 
     def counted(name, real):
@@ -333,8 +330,7 @@ def test_row_recurrences_match_the_generic_kernels_in_exact_type():
             Ninv = invert(N)
             C = mul(Ninv, M)
             got_ninv = Triangle(pipeline._s_polynomial_rows(a.terms, n, pipeline._shift))
-            times_M = partial(pipeline._times_tridiagonal, b, lam)
-            got_c = Triangle(pipeline._s_polynomial_rows(a.terms, n, times_M))
+            got_c = Triangle(pipeline._s_polynomial_rows(a.terms, n, triangle._times(P)))
             got_cinv = Triangle(
                 pipeline._j_polynomial_rows(b, lam, n, partial(pipeline._times_behead, a.terms))
             )

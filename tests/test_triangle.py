@@ -49,6 +49,20 @@ def test_entry_and_column():
     assert Triangle.identity(4).unit_diagonal
 
 
+def test_entry_and_column_reject_indices_outside_the_matrix():
+    # a negative index would count from the end, and a column past the
+    # last would read as structural zeros
+    T = Triangle([[1], [2, 3], [4, 5, 6]])
+    for i, j in [(2, -1), (-1, 0), (3, 0), (0, 3), (5, 5)]:
+        with pytest.raises(IndexError, match="outside a triangle of size 3"):
+            T.entry(i, j)
+    for k in (-1, 3, 5):
+        with pytest.raises(IndexError, match=f"index {k} outside"):
+            T.column(k)
+    assert [T.entry(0, j) for j in range(3)] == [1, 0, 0]
+    assert T.column(2) == (0, 0, 6)
+
+
 def test_behead_identity():
     got = behead(Triangle.identity(3))
     assert got == ProductionMatrix([[0, 1], [0, 0, 1]])
@@ -453,15 +467,21 @@ def _int_or_fraction_entry(rng):
     return rng.choice((_int_entry, _fraction_entry))(rng)
 
 
+def _int_or_poly_entry(rng):
+    return rng.choice((_int_entry, _poly_entry))(rng)
+
+
 def _banded_row(rng, entry, zero, width, band):
     """``width`` entries, zero (given as ``zero``) left of the last ``band``
     columns and in about a quarter of the others."""
     return [zero if j < width - band or rng.random() < 0.25 else entry(rng) for j in range(width)]
 
 
-# rings off the fused Z[q] path, each with a unit and a non-unit diagonal
+# each ring of the row sum, with a unit and a non-unit diagonal
 _ROW_SUM_RINGS = [
     (_int_entry, (1, -1), (2, -3)),
+    (_poly_entry, (1, -1), (q, 2 + q)),
+    (_int_or_poly_entry, (1, -1), (q, 2 + q)),
     (_fraction_entry, (1, Fraction(-1)), (Fraction(2, 3), Fraction(-5, 2))),
     (_qq_entry, (1, -1), (QRat.make(1, 1 + q), 1 - q)),
     (_int_or_fraction_entry, (1, -1), (2, Fraction(-5, 2))),
@@ -470,10 +490,10 @@ _ROW_SUM_RINGS = [
 
 def test_row_sums_match_the_index_fold_random():
     # generate, invert and mul build each row as a sum of scaled rows; the
-    # index-by-index fold above is the oracle.  Over Z a zero multiplier is
-    # skipped and a row starts at its first nonzero entry; a Fraction(0)
-    # zero keeps every term, or the sum's type would change.  Production
-    # rows are bidiagonal (band 2), tridiagonal (band 3) or dense.
+    # index-by-index fold above is the oracle.  Over Z and Z[q] a zero
+    # multiplier is skipped and a row starts at its first nonzero entry; a
+    # Fraction(0) zero keeps every term, or the sum's type would change.
+    # Production rows are bidiagonal (band 2), tridiagonal (band 3) or dense.
     rng = random.Random(20261018)
     for entry, units, non_units in _ROW_SUM_RINGS:
         for zero in (0, Fraction(0)):
@@ -527,7 +547,7 @@ def test_row_store_raises_the_first_bad_rows_error():
 
 
 def _stack_spies(monkeypatch, kernel_fns):
-    """Calls of QPoly products and sums and of the Z[q] division and dot
+    """Calls of QPoly products and sums and of the Z[q] division and accumulate
     kernels, each tagged with the innermost of ``kernel_fns`` on the stack
     (None when none of them is)."""
     kernels = {f.__code__: f.__name__ for f in kernel_fns}
@@ -547,16 +567,17 @@ def _stack_spies(monkeypatch, kernel_fns):
                      ("__radd__", "add")):
         monkeypatch.setattr(QPoly, name, counted(getattr(QPoly, name), op))
     for module, name in ((triangle, "exact_div"), (ring, "_zq_exact_div"),
-                         (triangle, "_zq_dot"), (ring, "_zq_dot")):
+                         (triangle, "_zq_addmul"), (ring, "_zq_addmul")):
         monkeypatch.setattr(module, name, counted(getattr(module, name), name))
     return calls
 
 
 def test_zq_compare_kernels_make_no_qpoly_product_or_sum(monkeypatch):
-    # every entry of generate, invert and mul is one fused sum of products,
-    # and the Hankel sweep runs on packed ints: a QPoly product or sum below
-    # any of them means a kernel fell back to the operator fold, and the
-    # sweep makes no Z[q] division and no fused sum either
+    # every Z[q] entry of generate, invert and mul is one accumulated
+    # coefficient list, and the Hankel sweep runs on packed ints: a QPoly
+    # product or sum below any of them means a kernel fell back to the
+    # operator fold, and the sweep makes no Z[q] division and no
+    # accumulate call either
     calls = _stack_spies(monkeypatch, (generate, invert, mul, triangle._hankel_pivots))
     a = SFractionCoeffs([1, q, 1 + q, q**2, q + q**2, q**3, 1 + q, q, q**2, 1 + q, q**3, q])
     r = compare(a, 6)
@@ -565,7 +586,7 @@ def test_zq_compare_kernels_make_no_qpoly_product_or_sum(monkeypatch):
     assert {c for c in calls if c[0] is not None and c[1] in ("mul", "add")} == set()
     assert {c for c in calls if c[0] == "_hankel_pivots"} == set()
     assert (None, "mul") in calls and (None, "add") in calls
-    assert ("mul", "_zq_dot") in calls and (None, "exact_div") in calls
+    assert ("mul", "_zq_addmul") in calls and (None, "exact_div") in calls
 
 
 def test_int_sweep_makes_no_exact_div_call(monkeypatch):
