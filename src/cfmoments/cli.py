@@ -176,9 +176,17 @@ def _matrix_json_obj(m):
 
 
 def parse_matrix_json(text: str):
-    """Rebuild a Triangle or ProductionMatrix from its JSON form."""
+    """Rebuild a Triangle or ProductionMatrix from its JSON form; malformed
+    text raises ValueError naming what is missing."""
     obj = json.loads(text)
-    rows = [[parse_scalar(s) for s in row] for row in obj["rows"]]
+    if not isinstance(obj, dict) or "rows" not in obj:
+        raise ValueError('matrix JSON must be an object with a "rows" key')
+    texts = obj["rows"]
+    if not isinstance(texts, list) or not all(isinstance(row, list) for row in texts):
+        raise ValueError('matrix JSON "rows" must be a list of lists')
+    if not all(type(s) is str for row in texts for s in row):
+        raise ValueError('matrix JSON "rows" entries must be strings')
+    rows = [[parse_scalar(s) for s in row] for row in texts]
     if all(len(r) == i + 1 for i, r in enumerate(rows)):
         return Triangle(rows)
     return ProductionMatrix(rows)
@@ -313,6 +321,8 @@ def _cmd_gen(args):
     if args.size < 2:
         raise _UsageError("--size must be at least 2")
     _at_most("--size", args.size, _MAX_GEN_SIZE)
+    if args.what == "all" and args.format == "csv":
+        raise _UsageError("csv carries a single matrix; pick one with --what")
     terms = parse_spec(args.spec).terms(2 * args.size)
     if terms[0] != 1:
         raise _PreconditionError("first coefficient must be 1")
@@ -320,8 +330,6 @@ def _cmd_gen(args):
     parts = {name: getattr(r, name) for name in _WHAT_ORDER}
     if args.what != "all":
         return _format_matrix(parts[args.what], args.format), 0, None
-    if args.format == "csv":
-        raise _UsageError("csv carries a single matrix; pick one with --what")
     if args.format == "json":
         return (
             json.dumps(

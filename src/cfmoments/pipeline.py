@@ -588,12 +588,12 @@ _REF_Q_N = (
     (1,),
     (1, 1),
     (1 + q, 1 + q, 1),
-    (QPoly((1, 2, 1, 1)), QPoly((1, 2, 1, 1)), QPoly((1, 1, 1)), 1),
+    (QPoly.make((1, 2, 1, 1)), QPoly.make((1, 2, 1, 1)), QPoly.make((1, 1, 1)), 1),
     (
-        QPoly((1, 3, 3, 3, 2, 1, 1)),
-        QPoly((1, 3, 3, 3, 2, 1, 1)),
-        QPoly((1, 2, 2, 2, 1, 1)),
-        QPoly((1, 1, 1, 1)),
+        QPoly.make((1, 3, 3, 3, 2, 1, 1)),
+        QPoly.make((1, 3, 3, 3, 2, 1, 1)),
+        QPoly.make((1, 2, 2, 2, 1, 1)),
+        QPoly.make((1, 1, 1, 1)),
         1,
     ),
 )

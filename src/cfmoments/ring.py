@@ -8,6 +8,12 @@ denominator cancels.  A ``Fraction`` never demotes: ``field_div(4, 2)``
 is ``Fraction(2, 1)``, which renders as ``2`` and parses back as int 2.
 No floating point is accepted anywhere.
 
+Each type is built one way.  A QPoly comes from ``QPoly.make``, which
+checks that every coefficient is a plain int, from ``q`` or from the
+arithmetic, which closes each result with the trusted ``_from_ints``; a
+QRat from ``QRat.make`` or from the arithmetic, whose coprime results go
+to the trusted ``_reduced``.  Neither class has a constructor.
+
 Z[q] products and exact quotients are linear in the other operand when
 one operand is a monomial c·q^m.  A factor 1 or 0 returns at once, a
 monomial factor scales and shifts the other one, and any other product
@@ -86,33 +92,34 @@ def _strip(coeffs):
     return cs
 
 
-def _check_int_coeffs(cs):
-    for c in cs:
-        if type(c) is not int:
-            raise TypeError("coefficients must be plain ints")
+# x - y and y - x for a QPoly or QRat x: both classes subtract by negation
+def _sub(x, y):
+    if type(y) in _SCALAR_TYPES:
+        return x + (-y)
+    return NotImplemented
+
+
+def _rsub(x, y):
+    if type(y) in _SCALAR_TYPES:
+        return (-x) + y
+    return NotImplemented
 
 
 class QPoly:
     """Polynomial in q with int coefficients, stored lowest degree first.
 
-    Instances always have degree >= 1; constant values belong to int.
-    Use ``QPoly.make`` to build a value that might turn out constant.
+    Degree >= 1 with no trailing zero; constants demote to int.  Every
+    value comes from ``QPoly.make``, ``q`` or the arithmetic.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs):
-        cs = _strip(coeffs)
-        _check_int_coeffs(cs)
-        if len(cs) < 2:
-            raise ValueError("constant value; use QPoly.make")
-        self.coeffs = tuple(cs)
-
     @staticmethod
     def make(coeffs):
-        """Canonical int-or-QPoly from a coefficient sequence."""
-        cs = _strip(coeffs)
-        _check_int_coeffs(cs)
+        """Canonical int-or-QPoly from a coefficient sequence of plain ints."""
+        cs = list(coeffs)
+        if any(type(c) is not int for c in cs):
+            raise TypeError("coefficients must be plain ints")
         return QPoly._from_ints(cs)
 
     @staticmethod
@@ -151,15 +158,8 @@ class QPoly:
     def __neg__(self):
         return QPoly._from_ints([-c for c in self.coeffs])
 
-    def __sub__(self, other):
-        if type(other) in _SCALAR_TYPES:
-            return self + (-other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if type(other) in _SCALAR_TYPES:
-            return (-self) + other
-        return NotImplemented
+    __sub__ = _sub
+    __rsub__ = _rsub
 
     def __mul__(self, other):
         t = type(other)
@@ -217,7 +217,7 @@ class QPoly:
         return f"QPoly({str(self)!r})"
 
 
-q = QPoly((0, 1))
+q = QPoly.make((0, 1))
 
 
 def _zq_coeffs(x):
@@ -436,20 +436,10 @@ class QRat:
     __radd__ = __add__
 
     def __neg__(self):
-        r = object.__new__(QRat)
-        r.num = -self.num
-        r.den = self.den
-        return r
+        return _reduced(-self.num, self.den)
 
-    def __sub__(self, other):
-        if type(other) in _SCALAR_TYPES:
-            return self + (-other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if type(other) in _SCALAR_TYPES:
-            return (-self) + other
-        return NotImplemented
+    __sub__ = _sub
+    __rsub__ = _rsub
 
     def __mul__(self, other):
         p = _as_zq_pair(other)
@@ -818,7 +808,7 @@ def parse_scalar(text: str, var: str = "q"):
         if t[0] == "int":
             return t[1]
         if t[0] == "var":
-            return QPoly((0, 1))
+            return q
         if t[0] == "(":
             if depth[0] == _MAX_NESTING:
                 raise ScalarParseError(

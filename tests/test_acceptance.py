@@ -84,7 +84,7 @@ def test_criterion_2_geometric_symbolic():
     the first matrix, the product, and the second production matrix."""
     a = SFractionCoeffs([q**k if k else 1 for k in range(12)])
     r = compare(a, 5)
-    p = QPoly
+    p = QPoly.make
     assert r.N.rows[3] == (p((1, 2, 1, 1)), p((1, 2, 1, 1)), p((1, 1, 1)), 1)
     assert r.N.rows[2] == (p((1, 1)), p((1, 1)), 1)
 

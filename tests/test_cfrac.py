@@ -74,8 +74,8 @@ def test_moments_from_sfraction_q_powers():
         1,
         1,
         1 + q,
-        QPoly((1, 2, 1, 1)),
-        QPoly((1, 3, 3, 3, 2, 1, 1)),
+        QPoly.make((1, 2, 1, 1)),
+        QPoly.make((1, 3, 3, 3, 2, 1, 1)),
     ]
 
 

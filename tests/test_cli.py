@@ -49,7 +49,7 @@ def test_spec_cycle_and_prefix():
 
 def test_spec_symbolic_values():
     s = parse_spec("lit:1,q,q^2 + 1")
-    assert s.terms(3) == [1, q, QPoly((1, 0, 1))]
+    assert s.terms(3) == [1, q, QPoly.make((1, 0, 1))]
 
 
 def test_spec_lit_exhaustion():
@@ -395,6 +395,33 @@ def test_json_production_roundtrip(capsys):
     a = SFractionCoeffs([q**k if k else 1 for k in range(10)])
     assert parse_matrix_json(out) == compare(a, 5).prodM
     assert json.loads(out)["ring"] == "q"
+
+
+@pytest.mark.parametrize(
+    "text, missing",
+    [
+        ("{}", '"rows" key'),
+        ("[1]", '"rows" key'),
+        ('{"rows": 5}', "list of lists"),
+        ('{"rows": [[1]]}', "must be strings"),
+    ],
+)
+def test_parse_matrix_json_names_what_is_missing(text, missing):
+    with pytest.raises(ValueError, match=missing) as info:
+        parse_matrix_json(text)
+    assert type(info.value) is ValueError
+
+
+def test_gen_csv_all_is_refused_before_any_work(monkeypatch, capsys):
+    def spy(*args, **kwargs):
+        raise AssertionError("compare ran")
+
+    monkeypatch.setattr("cfmoments.cli.compare", spy)
+    # a spec that fails its precondition (exit 3) is never read
+    for spec in ("qpow", "const:2"):
+        rc, out, err = _run(["gen", "--spec", spec, "--size", "4", "--format", "csv"], capsys)
+        assert (rc, out) == (2, "")
+        assert err == "usage-error: csv carries a single matrix; pick one with --what\n"
 
 
 def test_formats_share_renderings(capsys):

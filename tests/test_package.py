@@ -28,8 +28,9 @@ def test_all_lists_every_submodule_export_once():
 
 def _references(tree):
     """Each name or attribute in a module's code, with the names of the
-    defs and classes it sits in.  A def or class statement and an
-    __all__ string are neither."""
+    defs and classes it sits in.  An attribute of a plain name also comes
+    whole, as ``Cls.attr``.  A def or class statement and an __all__
+    string are neither."""
     stack = [(tree, frozenset())]
     while stack:
         node, owners = stack.pop()
@@ -37,6 +38,8 @@ def _references(tree):
             yield node.id, owners
         elif isinstance(node, ast.Attribute):
             yield node.attr, owners
+            if isinstance(node.value, ast.Name):
+                yield f"{node.value.id}.{node.attr}", owners
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             owners = owners | {node.name}
         stack.extend((child, owners) for child in ast.iter_child_nodes(node))
@@ -63,7 +66,9 @@ def test_every_export_has_a_caller():
 def test_every_module_level_definition_has_a_caller():
     # private helpers and methods too, so a helper that a change leaves
     # behind fails; a method counts as called when any attribute of its
-    # name is referenced, and dunder methods are the language's to call
+    # name is referenced, a static method only when it is referenced as
+    # Cls.name (QRat.make must not stand in for QPoly.make), and dunder
+    # methods are the language's to call
     defined = {}
     for path in (ROOT / "src" / "cfmoments").glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -73,7 +78,12 @@ def test_every_module_level_definition_has_a_caller():
             if isinstance(top, ast.ClassDef):
                 for node in top.body:
                     if isinstance(node, ast.FunctionDef) and not node.name.endswith("__"):
-                        defined[f"{top.name}.{node.name}"] = node.name
+                        key = f"{top.name}.{node.name}"
+                        static = any(
+                            isinstance(d, ast.Name) and d.id == "staticmethod"
+                            for d in node.decorator_list
+                        )
+                        defined[key] = key if static else node.name
     referenced = _referenced_names()
     uncalled = {key for key, name in defined.items() if name not in referenced}
     assert sorted(uncalled) == sorted(_KEPT_WITHOUT_CALLER | _METHODS_WITHOUT_CALLER)

@@ -594,7 +594,7 @@ def test_compare_degenerate_sequence():
 
 def test_q_binomial_known_values():
     assert q_binomial(2, 1) == 1 + q
-    assert q_binomial(4, 2) == QPoly((1, 1, 2, 1, 1))
+    assert q_binomial(4, 2) == QPoly.make((1, 1, 2, 1, 1))
     assert q_binomial(5, 0) == 1
     assert q_binomial(5, 5) == 1
     assert q_binomial(2, 3) == 0

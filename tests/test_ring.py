@@ -36,7 +36,7 @@ def test_monomial_product():
 
 
 def test_square_expansion():
-    assert (1 + q) ** 2 == QPoly((1, 2, 1))
+    assert (1 + q) ** 2 == QPoly.make((1, 2, 1))
 
 
 def test_power_makes_no_product_past_the_last_bit(monkeypatch):
@@ -71,23 +71,22 @@ def test_constant_demotion():
 
 def test_degree_invariant():
     # no trailing zeros, never a constant QPoly
-    p = QPoly((1, 2, 0, 0))
+    p = QPoly.make((1, 2, 0, 0))
     assert p.coeffs == (1, 2)
-    with pytest.raises(ValueError):
-        QPoly((7,))
+    assert type(QPoly.make((7, 0))) is int
 
 
 def test_mixed_arithmetic():
-    assert 1 + q == QPoly((1, 1))
-    assert Fraction(1, 2) + q == QRat.make(QPoly((1, 2)), 2)
-    assert 2 * q == QPoly((0, 2))
-    assert q - 1 == QPoly((-1, 1))
-    assert (1 - q) * (1 + q) == QPoly((1, 0, -1))
+    assert 1 + q == QPoly.make((1, 1))
+    assert Fraction(1, 2) + q == QRat.make(QPoly.make((1, 2)), 2)
+    assert 2 * q == QPoly.make((0, 2))
+    assert q - 1 == QPoly.make((-1, 1))
+    assert (1 - q) * (1 + q) == QPoly.make((1, 0, -1))
 
 
 def test_qrat_demotion_chain():
     assert QRat.make(q**2 + q, q) == 1 + q
-    assert QRat.make(1 + q, QPoly((2, 2))) == Fraction(1, 2)
+    assert QRat.make(1 + q, QPoly.make((2, 2))) == Fraction(1, 2)
     assert QRat.make(6, 4) == Fraction(3, 2)
     assert QRat.make(q, q) == 1
     assert isinstance(QRat.make(q, q), int)
@@ -95,7 +94,7 @@ def test_qrat_demotion_chain():
 
 
 def test_qrat_normalization_sign():
-    r = QRat.make(1, QPoly((-1, -1)))
+    r = QRat.make(1, QPoly.make((-1, -1)))
     assert isinstance(r, QRat)
     assert r.den == 1 + q
     assert r.num == -1
@@ -152,7 +151,7 @@ def test_exact_div_polys():
             exact_div(x, y)
         assert str(e.value) == message
     with pytest.raises(ExactDivisionError):
-        exact_div(QPoly((0, 2)), QPoly((0, 4)))
+        exact_div(QPoly.make((0, 2)), QPoly.make((0, 4)))
 
 
 def test_exact_div_field_operands_divide_freely():
@@ -164,7 +163,7 @@ def test_exact_div_field_operands_divide_freely():
 
 def test_eval_q():
     assert eval_q(q + q**2, 2) == 6
-    assert eval_q(QPoly((1, 2, 1, 1)), 2) == 17
+    assert eval_q(QPoly.make((1, 2, 1, 1)), 2) == 17
     assert eval_q(q**5, 2) == 32
     assert eval_q(0, 7) == 0
     assert eval_q(Fraction(3, 4), 5) == Fraction(3, 4)
@@ -184,12 +183,12 @@ def test_render_forms():
     assert render(Fraction(3, 4)) == "3/4"
     assert render(q) == "q"
     assert render(-q) == "-q"
-    assert render(QPoly((1, 2, 1))) == "1 + 2*q + q^2"
-    assert render(QPoly((0, 0, 0, 0, 0, -1, 1))) == "-q^5 + q^6"
-    assert render(QPoly((0, 0, 3))) == "3*q^2"
+    assert render(QPoly.make((1, 2, 1))) == "1 + 2*q + q^2"
+    assert render(QPoly.make((0, 0, 0, 0, 0, -1, 1))) == "-q^5 + q^6"
+    assert render(QPoly.make((0, 0, 3))) == "3*q^2"
     assert render(QRat.make(1 + q, q)) == "(1 + q)/q"
-    assert render(QRat.make(1, QPoly((1, 2)))) == "1/(1 + 2*q)"
-    assert render(QRat.make(QPoly((0, 0, -3)), QPoly((1, 1)))) == "-3*q^2/(1 + q)"
+    assert render(QRat.make(1, QPoly.make((1, 2)))) == "1/(1 + 2*q)"
+    assert render(QRat.make(QPoly.make((0, 0, -3)), QPoly.make((1, 1)))) == "-3*q^2/(1 + q)"
 
 
 def test_parse_scalar_basics():
@@ -197,10 +196,10 @@ def test_parse_scalar_basics():
     assert parse_scalar("-17") == -17
     assert parse_scalar("3/4") == Fraction(3, 4)
     assert parse_scalar("q^2") == q**2
-    assert parse_scalar("1 + 2*q + q^2") == QPoly((1, 2, 1))
+    assert parse_scalar("1 + 2*q + q^2") == QPoly.make((1, 2, 1))
     assert parse_scalar("(1 + q)/q") == QRat.make(1 + q, q)
-    assert parse_scalar("(1+q)^2") == QPoly((1, 2, 1))
-    assert parse_scalar("2*q^3 - q") == QPoly((0, -1, 0, 2))
+    assert parse_scalar("(1+q)^2") == QPoly.make((1, 2, 1))
+    assert parse_scalar("2*q^3 - q") == QPoly.make((0, -1, 0, 2))
 
 
 def test_parse_scalar_errors_carry_offset():
@@ -268,7 +267,7 @@ def test_named_ops_reject_floats():
             lambda: q + x,
             lambda: q * x,
             lambda: QRat.make(x, 1),
-            lambda: QPoly((0, x)),
+            lambda: QPoly.make((0, x)),
             lambda: Triangle([[x]]),
             lambda: SFractionCoeffs([x]),
         ):
@@ -557,10 +556,9 @@ def test_zq_addmul_matches_the_operator_fold_random():
         assert type(got) is int and got == c, (xs, ys)
 
 
-def test_constructors_check_coefficient_types():
-    for bad in ([1, 0.5], [1, Fraction(1, 2)], [True, 1]):
-        with pytest.raises(TypeError):
-            QPoly(bad)
+def test_make_checks_coefficient_types():
+    # a trailing coefficient equal to 0 is checked too
+    for bad in ([1, 0.5], [1, Fraction(1, 2)], [True, 1], [1, 0.0], [1, 2, False]):
         with pytest.raises(TypeError):
             QPoly.make(bad)
 
