@@ -83,6 +83,8 @@ class SequenceSpec:
         self.kind = kind
         self.prefix = tuple(prefix)
         self.values = tuple(values)
+        if kind == "cycle" and not self.values:
+            raise ValueError("a cycle spec needs at least one value")
 
     def term(self, n: int):
         """a_n, 1-indexed."""
@@ -232,54 +234,36 @@ def _format_values(values, fmt: str) -> str:
     return " ".join(render(v) for v in values)
 
 
-def _verify_q_field(args_q, example):
-    if example != "qcase":
-        return None
-    return "symbolic" if args_q is None else args_q
-
-
 def _format_report(rep, fmt: str) -> str:
+    qfield = None
+    if rep.example == "qcase":
+        qfield = "symbolic" if rep.q_value is None else rep.q_value
+    rows = [[c.name, c.status, c.expected, c.actual, c.note] for c in rep.checks]
     if fmt == "json":
+        keys = ("name", "status", "expected", "computed", "note")
         return json.dumps(
             {
                 "example": rep.example,
                 "size": rep.size,
-                "q": _verify_q_field(rep.q_value, rep.example),
-                "checks": [
-                    {
-                        "name": c.name,
-                        "status": c.status,
-                        "expected": c.expected,
-                        "computed": c.actual,
-                        "note": c.note,
-                    }
-                    for c in rep.checks
-                ],
+                "q": qfield,
+                "checks": [dict(zip(keys, row)) for row in rows],
                 "pass": rep.passed,
             },
             indent=2,
         )
     if fmt == "csv":
-        return _csv(
-            [[c.name, c.status, c.expected, c.actual, c.note] for c in rep.checks]
-        )
+        return _csv(rows)
     lines = []
-    for c in rep.checks:
-        if c.status == "pass":
-            lines.append(f"PASS {c.name}")
-        elif c.status == "documented-discrepancy":
-            lines.append(
-                f"DISCREPANCY {c.name} reference={c.expected} "
-                f"computed={c.actual} note={c.note}"
-            )
-        else:
-            lines.append(
-                f"FAIL {c.name} expected={c.expected} "
-                f"computed={c.actual} note={c.note}"
-            )
+    for name, status, expected, actual, note in rows:
+        if status == "pass":
+            lines.append(f"PASS {name}")
+            continue
+        label, key = "FAIL", "expected"
+        if status == "documented-discrepancy":
+            label, key = "DISCREPANCY", "reference"
+        lines.append(f"{label} {name} {key}={expected} computed={actual} note={note}")
     p, f, d = rep.counts
-    qpart = _verify_q_field(rep.q_value, rep.example)
-    qtext = "" if qpart is None else f" q={qpart}"
+    qtext = "" if qfield is None else f" q={qfield}"
     lines.append(
         f"RESULT {'pass' if rep.passed else 'fail'}: {p} passed, {f} failed, "
         f"{d} documented discrepancies (example={rep.example} size={rep.size}{qtext})"
@@ -367,27 +351,17 @@ def _cmd_hankel(args):
     if args.method != "both":
         return _format_values(results[args.method], args.format), 0, None
     agree = results["det"] == results["product"]
+    texts = {k: [render(v) for v in vals] for k, vals in results.items()}
     if args.format == "json":
+        ring = _ring_label(results["det"] + results["product"])
         text = json.dumps(
-            {
-                "count": args.count,
-                "ring": _ring_label(results["det"] + results["product"]),
-                "det": [render(v) for v in results["det"]],
-                "product": [render(v) for v in results["product"]],
-                "agree": agree,
-            },
-            indent=2,
+            {"count": args.count, "ring": ring, **texts, "agree": agree}, indent=2
         )
     elif args.format == "csv":
-        text = _csv([[render(v) for v in results[k]] for k in ("det", "product")])
+        text = _csv(texts.values())
     else:
-        text = "\n".join(
-            [
-                "det: " + " ".join(render(v) for v in results["det"]),
-                "product: " + " ".join(render(v) for v in results["product"]),
-                f"agree: {'yes' if agree else 'no'}",
-            ]
-        )
+        lines = [f"{k}: {' '.join(vals)}" for k, vals in texts.items()]
+        text = "\n".join(lines + [f"agree: {'yes' if agree else 'no'}"])
     return text, 0, None
 
 

@@ -82,7 +82,6 @@ __all__ = [
     "compare",
     "q_binomial",
     "qcase_factorization_check",
-    "schroder_structure_checks",
     "verify_example",
 ]
 
@@ -489,14 +488,6 @@ def qcase_factorization_check(product: Triangle) -> CheckResult:
     )
 
 
-def _schroder_secondary_pair(n: int) -> RiordanPair:
-    """The partner family whose columns supply the odd columns of the
-    interleaved triangle."""
-    phi_over_x = schroder_column(1, n)
-    phi_over_x2 = schroder_column(1, n + 1)[1:]
-    return RiordanPair(TruncatedSeries(phi_over_x2), TruncatedSeries(phi_over_x))
-
-
 def _schroder_families(n: int):
     """The two Riordan families whose rows alternate in the inverse of
     the first matrix: even rows from (1, x) / (1 + 3x + 2x^2), odd rows
@@ -537,6 +528,17 @@ def _inverse_row_mixture(n_inv: Triangle, even: Triangle, odd: Triangle):
 
 def _schroder_structure(r: ComparisonResult, flag, even, odd) -> list:
     n = r.N.size
+
+    def interleaved_columns():
+        # the partner family (phi / x^2, phi / x) supplies the odd columns
+        phi_over_x = TruncatedSeries(schroder_column(1, n))
+        phi_over_x2 = TruncatedSeries(schroder_column(1, n + 1)[1:])
+        partner = riordan_matrix(RiordanPair(phi_over_x2, phi_over_x), n)
+        return (
+            interleave_columns(r.M, partner) == r.N,
+            "columns alternate between the two families",
+        )
+
     return [
         ("parity-row-recurrences", lambda: _parity_row_recurrences(r.C)),
         # production matrix of the product's inverse equals the beheaded
@@ -548,14 +550,7 @@ def _schroder_structure(r: ComparisonResult, flag, even, odd) -> list:
                 "beheaded inverse of the flagged triangle",
             ),
         ),
-        (
-            "interleaved-columns",
-            lambda: (
-                interleave_columns(r.M, riordan_matrix(_schroder_secondary_pair(n), n))
-                == r.N,
-                "columns alternate between the two families",
-            ),
-        ),
+        ("interleaved-columns", interleaved_columns),
         (
             "series-columns",
             lambda: (
@@ -566,14 +561,6 @@ def _schroder_structure(r: ComparisonResult, flag, even, odd) -> list:
         ("inverse-row-mixture", lambda: _inverse_row_mixture(r.Ninv, even, odd)),
         ("odd-family-is-second-matrix-inverse", lambda: odd == invert(r.M)),
     ]
-
-
-def schroder_structure_checks(result: ComparisonResult) -> list:
-    """Structural identities special to the alternating 1, 2 sequence."""
-    n = result.N.size
-    flag = _flag_triangle(((1,),) + result.prodN.rows)
-    even, odd = _schroder_families(n)
-    return _run_checks(_schroder_structure(result, flag, even, odd))
 
 
 # ---------------------------------------------------------------------------
@@ -796,56 +783,37 @@ _REF_S_ODD_FAMILY = (
 
 _REF_S_MOMENTS = (1, 1, 3, 11, 45, 197, 903)
 
-def _region_check(name, computed, expected_rows, note="") -> CheckResult:
-    """Compare leading rows of a computed matrix against frozen rows;
-    ``None`` marks entries reported separately."""
-    for i, row in enumerate(expected_rows):
-        for jj, want in enumerate(row):
-            if want is None:
-                continue
-            got = computed.rows[i][jj]
-            if got != want:
-                return CheckResult(
-                    name,
-                    "fail",
-                    render(want),
-                    render(got),
-                    f"first mismatch at row {i} column {jj}",
-                )
-    return CheckResult(name, "pass", note=note or f"{len(expected_rows)} rows")
-
-
-def _discrepancy_check(name, computed_value, printed_value, corrected_value, note):
-    """Report a known disagreement between reference and computation; if
-    the computation stops matching the corrected value, that is a real
-    failure."""
-    if computed_value == corrected_value:
-        return CheckResult(
-            name,
-            "documented-discrepancy",
-            render(printed_value),
-            render(computed_value),
-            note,
-        )
-    return CheckResult(
-        name,
-        "fail",
-        render(corrected_value),
-        render(computed_value),
-        "computation no longer matches the corrected value",
-    )
-
 
 def _display(name, computed, expected_rows, note=""):
-    """Check that the leading rows of ``computed`` match ``expected_rows``."""
-    return name, lambda: _region_check(name, computed, expected_rows, note)
+    """Check that the leading rows of ``computed`` match ``expected_rows``;
+    ``None`` marks entries reported separately."""
+
+    def check():
+        for i, row in enumerate(expected_rows):
+            for jj, want in enumerate(row):
+                if want is not None and computed.rows[i][jj] != want:
+                    got = render(computed.rows[i][jj])
+                    where = f"first mismatch at row {i} column {jj}"
+                    return CheckResult(name, "fail", render(want), got, where)
+        return True, note or f"{len(expected_rows)} rows"
+
+    return name, check
 
 
 def _documented(name, computed_value, printed_value, corrected_value, note):
-    """Check a documented discrepancy (see ``_discrepancy_check``)."""
-    return name, lambda: _discrepancy_check(
-        name, computed_value, printed_value, corrected_value, note
-    )
+    """Report a known disagreement between reference and computation; if
+    the computation stops matching the corrected value, that is a real
+    failure."""
+
+    def check():
+        if computed_value == corrected_value:
+            status, shown, why = "documented-discrepancy", printed_value, note
+        else:
+            status, shown = "fail", corrected_value
+            why = "computation no longer matches the corrected value"
+        return CheckResult(name, status, render(shown), render(computed_value), why)
+
+    return name, check
 
 
 def _diagnostic_checks(result: ComparisonResult) -> list:
@@ -998,10 +966,9 @@ def _qcase_numeric_checks(v: int, n: int) -> list:
         return list(back.terms) == [v**k for k in range(nn - 1)]
 
     checks = _diagnostic_checks(r) + [
-        ("specializes-symbolic-product", specializes_symbolic_product)
+        ("specializes-symbolic-product", specializes_symbolic_product),
+        ("qd-recovers-geometric-sequence", qd_recovers_geometric_sequence),
     ]
-    if v != 0:
-        checks += [("qd-recovers-geometric-sequence", qd_recovers_geometric_sequence)]
     if v == 2:
         checks += _qcase_at_two_checks(r)
     return checks

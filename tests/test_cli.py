@@ -8,6 +8,7 @@ import pytest
 from cfmoments.cfrac import SFractionCoeffs
 from cfmoments.cli import (
     SequenceExhausted,
+    SequenceSpec,
     _build_parser,
     SpecParseError,
     parse_matrix_json,
@@ -50,6 +51,12 @@ def test_spec_cycle_and_prefix():
 def test_spec_symbolic_values():
     s = parse_spec("lit:1,q,q^2 + 1")
     assert s.terms(3) == [1, q, QPoly.make((1, 0, 1))]
+
+
+def test_spec_refuses_an_empty_cycle():
+    for prefix in ((), (1,)):
+        with pytest.raises(ValueError, match="at least one value"):
+            SequenceSpec("cycle", [], prefix)
 
 
 def test_spec_lit_exhaustion():
@@ -228,6 +235,12 @@ def test_verify_accepts_q_symbolic(capsys):
     plain = _run(["verify", "--example", "qcase"], capsys)
     assert plain[0] == 0
     assert _run(["verify", "--example", "qcase", "--q-symbolic"], capsys) == plain
+
+
+def test_verify_qcase_at_zero_exits_3(capsys):
+    rc, out, err = _run(["verify", "--example", "qcase", "--q", "0"], capsys)
+    assert (rc, out) == (3, "")
+    assert err == "precondition-error: hankel determinant vanishes at order 1\n"
 
 
 def test_largest_golden_power_still_parses(capsys):

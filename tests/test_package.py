@@ -7,9 +7,8 @@ from cfmoments import cfrac, cli, pipeline, ring, series, triangle
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # exports kept although nothing in the library, the demos or the benchmark
-# uses them: the only evidence that the Schröder checks can fail, and the
-# documented JSON round trip
-_KEPT_WITHOUT_CALLER = {"schroder_structure_checks", "parse_matrix_json"}
+# uses them: the documented JSON round trip
+_KEPT_WITHOUT_CALLER = {"parse_matrix_json"}
 
 # methods with no caller in the code: a constructor that many tests use,
 # and the hook through which argparse reports a usage error
@@ -87,3 +86,45 @@ def test_every_module_level_definition_has_a_caller():
     referenced = _referenced_names()
     uncalled = {key for key, name in defined.items() if name not in referenced}
     assert sorted(uncalled) == sorted(_KEPT_WITHOUT_CALLER | _METHODS_WITHOUT_CALLER)
+
+
+def _assigned(statement):
+    """The non-dunder names a module-level assignment binds."""
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, (ast.AnnAssign, ast.AugAssign)):
+        targets = [statement.target]
+    else:
+        return set()
+    return {
+        node.id
+        for target in targets
+        for node in ast.walk(target)
+        if isinstance(node, ast.Name) and not node.id.endswith("__")
+    }
+
+
+def test_every_module_level_assignment_is_read():
+    # a constant or reference table that a change leaves behind fails: the
+    # name must be read in src/, demos/ or bench/ outside the statement
+    # that assigns it
+    assigned = set()
+    for path in (ROOT / "src" / "cfmoments").glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            assigned |= _assigned(top)
+    read = set()
+    for folder in ("src", "demos", "bench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                own = _assigned(top)
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        name = node.id
+                    elif isinstance(node, ast.Attribute):
+                        name = node.attr
+                    else:
+                        continue
+                    if name not in own:
+                        read.add(name)
+    assert assigned, "no module-level assignment found"
+    assert sorted(assigned - read) == []

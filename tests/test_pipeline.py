@@ -15,7 +15,12 @@ from cfmoments.cfrac import (
 from cfmoments.pipeline import (
     CatalanLikenessError,
     _compare_ring,
-    _discrepancy_check,
+    _display,
+    _documented,
+    _flag_triangle,
+    _run_checks,
+    _schroder_families,
+    _schroder_structure,
     build_M,
     build_N_via_behead,
     build_N_via_rescale,
@@ -23,7 +28,6 @@ from cfmoments.pipeline import (
     op_coeff_triangle,
     q_binomial,
     qcase_factorization_check,
-    schroder_structure_checks,
     verify_example,
 )
 from cfmoments.ring import QPoly, QRat, eval_q, q, render
@@ -632,18 +636,37 @@ def test_factorization_check_reports_first_failure():
     assert "row 3 column 1" in res.note
 
 
+def test_factorization_check_reports_a_wrong_quotient():
+    # raising an entry by the power it is divided by keeps it divisible,
+    # so the quotient, not the division, is what fails
+    r = compare(q_powers(12), 6)
+    rows = [list(row) for row in r.C.rows]
+    rows[4][2] = rows[4][2] * q**5
+    res = qcase_factorization_check(Triangle(rows))
+    assert res.status == "fail"
+    assert res.note == "first failure at row 4 column 2"
+    assert res.expected == render(q_binomial(3, 2) * q**2)
+    assert res.actual == render(r.C.rows[4][2])
+
+
 # --- structure checks for the alternating sequence ---
+
+
+def schroder_structure(r):
+    flag = _flag_triangle(((1,),) + r.prodN.rows)
+    even, odd = _schroder_families(r.N.size)
+    return _run_checks(_schroder_structure(r, flag, even, odd))
 
 
 def test_schroder_structure_all_pass():
     r = compare(alternating(14), 7)
-    for c in schroder_structure_checks(r):
+    for c in schroder_structure(r):
         assert c.status == "pass", c.name
 
 
 def test_schroder_structure_detects_other_sequences():
     r = compare(ones(12), 6)
-    statuses = {c.name: c.status for c in schroder_structure_checks(r)}
+    statuses = {c.name: c.status for c in schroder_structure(r)}
     assert statuses["parity-row-recurrences"] == "fail"
     assert statuses["interleaved-columns"] == "fail"
 
@@ -701,6 +724,13 @@ def test_verify_schroder_all_pass():
     assert "flag-triangle-production" in names
 
 
+def test_verify_qcase_at_zero_is_refused_before_any_check():
+    # a2 = 0 makes the first Hankel determinant vanish
+    with pytest.raises(CatalanLikenessError) as info:
+        verify_example("qcase", 6, q_value=0)
+    assert info.value.order == 1
+
+
 def test_verify_scales_beyond_reference_region():
     assert verify_example("catalan", 8).passed
     assert verify_example("schroder", 8).passed
@@ -735,7 +765,20 @@ def test_verify_builds_each_construction_once(monkeypatch):
 
 
 def test_discrepancy_check_fails_when_computation_drifts():
-    good = _discrepancy_check("x", 15, 51, 15, "note")
+    good = _documented("x", 15, 51, 15, "note")[1]()
     assert good.status == "documented-discrepancy"
-    drifted = _discrepancy_check("x", 14, 51, 15, "note")
+    drifted = _documented("x", 14, 51, 15, "note")[1]()
     assert drifted.status == "fail"
+
+
+def test_display_reports_the_first_drifted_entry():
+    computed = Triangle([[1], [2, 1], [5, q, 1]])
+    # the None cell at row 1 column 0 is skipped, so the reported mismatch
+    # is the later one
+    expected = ((1,), (None, 1), (5, 1 + q, 1))
+    (res,) = _run_checks([_display("d", computed, expected)])
+    assert (res.name, res.status) == ("d", "fail")
+    assert (res.expected, res.actual) == (render(1 + q), render(q))
+    assert res.note == "first mismatch at row 2 column 1"
+    (res,) = _run_checks([_display("d", computed, ((1,), (None, 1)))])
+    assert (res.status, res.note) == ("pass", "2 rows")
