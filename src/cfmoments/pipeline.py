@@ -10,7 +10,9 @@ interest; production matrices of all three are part of the result.
 The rows of the inverses of the two triangles are the polynomials of the
 two continued fractions, so the inverse of the first, the product and
 the product's inverse each come from a three-term row recurrence in
-O(n^2) ring operations, with no triangle inverted or multiplied.
+O(n^2) ring operations, with no triangle inverted or multiplied.  Over
+Z[q] the constructions run on Kronecker-packed ints, with slots as wide
+as the same recurrences on the terms' l1 norms require.
 
 ``verify_example`` replays a named example against frozen reference
 values and live structural identities, reporting pass, fail, or
@@ -35,11 +37,15 @@ from .cfrac import (
     two_power_chain_coeff,
 )
 from .ring import (
+    _ZQ_TYPES,
     ExactDivisionError,
     QPoly,
     _cleared,
     _in_zq,
     _peel,
+    _zq_coeffs,
+    _zq_pack,
+    _zq_unpack,
     eval_q,
     exact_div,
     field_div,
@@ -107,11 +113,17 @@ def build_N_via_behead(a: SFractionCoeffs, n: int) -> tuple[Triangle, Production
         raise ValueError("size must be at least 2")
     if len(a.terms) < n:
         raise InsufficientCoefficients(f"need {n} coefficients, got {len(a.terms)}")
-    rows, N = [[1]], [[1]]
-    for t in a.terms[: n - 1]:
-        rows.append([v * t or 0 for v in rows[-1]] + [1])
-        N.append(_times_behead(a.terms, N[-1]))
+    N, rows = _behead_rows(a.terms, n)
     return Triangle(N), behead(Triangle(rows))
+
+
+def _behead_rows(a, n):
+    """Rows 0..n-1 of N and of B^-1 for the terms a (``build_N_via_behead``)."""
+    rows, N = [[1]], [[1]]
+    for t in a[: n - 1]:
+        rows.append([v * t or 0 for v in rows[-1]] + [1])
+        N.append(_times_behead(a, N[-1]))
+    return N, rows
 
 
 def _times_behead(a, v):
@@ -177,15 +189,7 @@ def build_M(a: SFractionCoeffs, n: int) -> tuple[Triangle, ProductionMatrix]:
         raise InsufficientCoefficients(
             f"need {n - 1} two-parameter levels, got {len(j.b)}"
         )
-    rows = []
-    for i in range(n - 1):
-        row = [0] * (i + 2)
-        if i >= 1:
-            row[i - 1] = j.lam[i - 1]
-        row[i] = j.b[i]
-        row[i + 1] = 1
-        rows.append(row)
-    P = ProductionMatrix(rows)
+    P = _tridiagonal(j.b, j.lam, n)
     via_production = generate(P, n)
     if via_production != invert(op_coeff_triangle(j, n)):
         raise ArithmeticError(
@@ -193,6 +197,20 @@ def build_M(a: SFractionCoeffs, n: int) -> tuple[Triangle, ProductionMatrix]:
             "and polynomial routes"
         )
     return via_production, P
+
+
+def _tridiagonal(b, lam, n):
+    """The n - 1 rows of the production matrix with b on the diagonal,
+    1 above it and l below it."""
+    rows = []
+    for i in range(n - 1):
+        row = [0] * (i + 2)
+        if i >= 1:
+            row[i - 1] = lam[i - 1]
+        row[i] = b[i]
+        row[i + 1] = 1
+        rows.append(row)
+    return ProductionMatrix(rows)
 
 
 def _shift(v):
@@ -281,11 +299,11 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
     Hankel determinants h_0 .. h_{n-1}, taken from the product formula
     (raises CatalanLikenessError at the first zero).  The last
     determinant is also computed from the moments alone, by the
-    fraction-free three-term recurrence (Bareiss elimination only when a
-    leading minor vanishes), in O(n^2) ring operations; disagreement
-    signals a bug and raises.  ``prodN`` and ``prodM`` are the builders'
-    own production matrices (a unit-diagonal triangle has only one); C's
-    top rows invert those of C^-1, whose production matrix is ``prodCinv``.
+    fraction-free three-term recurrence, in O(n^2) ring operations;
+    disagreement signals a bug and raises.  ``prodN`` and ``prodM`` are
+    the builders' own production matrices (a unit-diagonal triangle has
+    only one); C's top rows invert those of C^-1, whose production matrix
+    is ``prodCinv``.
 
     N^-1, C = N^-1·M and C^-1 = M^-1·N come from the row recurrences of
     the two polynomial families (``_s_polynomial_rows``,
@@ -294,6 +312,16 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
     raises.  ``verify_example`` still cross-checks C and ``prodCinv``
     with the generic kernels (``specializes-symbolic-product``,
     ``flag-triangle-production``).
+
+    Z[q] terms with a QPoly among them pass the gate above in Z[q]; every
+    construction after it runs on the terms' images under the ring
+    homomorphism phi: q -> 2^(64m), whose divisions are exact in Z[q], so
+    the int run computes the images of the true entries.  ``_slot_count``
+    picks m so that each returned entry unpacks exactly
+    (``ring._zq_unpack``).  The second routes to N and M and the C^-1·C
+    row are compared on images: a disagreement goes unseen only if it is
+    a nonzero multiple of q - 2^(64m), which has a coefficient of at least
+    2^(64m).
 
     Field input (a Fraction or QRat among the 2n terms) runs over Z or
     Z[q]: every output is homogeneous in the a_i (Flajolet 1980), so the
@@ -351,14 +379,18 @@ def _compare_ring(a: SFractionCoeffs, n: int) -> ComparisonResult:
             f"compare at size {n}: internal disagreement between the determinant "
             f"and product routes for h_{n - 1}"
         )
-    N, prodN = build_N_via_behead(a, n)
-    N_again = build_N_via_rescale(a, n)
-    M, prodM = build_M(a, n)
+    terms = a.terms[: 2 * n]
+    types = set(map(type, terms))
+    m = _slot_count(terms, n) if QPoly in types and types <= _ZQ_TYPES else 0
+    s = SFractionCoeffs([_zq_pack(t, m) for t in terms]) if m else a
+    N, prodN = build_N_via_behead(s, n)
+    N_again = build_N_via_rescale(s, n)
+    M, prodM = build_M(s, n)
     b = [r[i] for i, r in enumerate(prodM.rows)]
     lam = [r[i - 1] for i, r in enumerate(prodM.rows) if i]
-    Ninv = Triangle(_s_polynomial_rows(a.terms, n, _shift))
-    C = Triangle(_s_polynomial_rows(a.terms, n, _times(prodM)))
-    Cinv = _j_polynomial_rows(b, lam, n, partial(_times_behead, a.terms))
+    Ninv = Triangle(_s_polynomial_rows(s.terms, n, _shift))
+    C = Triangle(_s_polynomial_rows(s.terms, n, _times(prodM)))
+    Cinv = _j_polynomial_rows(b, lam, n, partial(_times_behead, s.terms))
     # the two recurrences are independent: row n-1 of C^-1 times C is e_{n-1}
     last = [sum([x * r[j] for x, r in zip(Cinv[-1][j:], C.rows[j:])]) for j in range(n)]
     if last != [0] * (n - 1) + [1]:
@@ -366,15 +398,47 @@ def _compare_ring(a: SFractionCoeffs, n: int) -> ComparisonResult:
             f"compare at size {n}: internal disagreement between C and its inverse"
         )
     prodCinv = production_of(Triangle(Cinv), Triangle(C.rows[:-1]))
+    routes_agree = N == N_again
+    if m:
+        N, M, Ninv, C, prodN, prodM, prodCinv = (
+            type(t)([[_zq_unpack(v, m) for v in r] for r in t.rows])
+            for t in (N, M, Ninv, C, prodN, prodM, prodCinv)
+        )
     mu = mu_long[:n]
     diagnostics = [
-        ("construction-route-agreement", N == N_again),
+        ("construction-route-agreement", routes_agree),
         ("first-column-of-first-matrix-is-moments", list(N.column(0)) == mu),
         ("first-column-of-second-matrix-is-moments", list(M.column(0)) == mu),
         ("product-first-column-is-unit-vector", list(C.column(0)) == [1] + [0] * (n - 1)),
         ("unit-diagonals", N.unit_diagonal and M.unit_diagonal and C.unit_diagonal),
     ]
     return ComparisonResult(a, mu, N, M, Ninv, C, prodN, prodM, prodCinv, diagnostics)
+
+
+def _slot_count(terms, n):
+    """The smallest m for which every entry ``_compare_ring`` returns from
+    the Z[q] terms has l1 norm below 2^(64m-1), so that its image under
+    q -> 2^(64m) unpacks exactly.  l1 is subadditive and submultiplicative,
+    so the constructions' own recurrences, run on the terms' norms with
+    every subtraction made an addition, bound each entry they build; an
+    entry of ``prodCinv`` sums at most n products of an entry of C and one
+    of C^-1.  The packed terms count too."""
+    al = [sum(map(abs, _zq_coeffs(t))) for t in terms]
+    N, P_N = _behead_rows(al, n)
+    b = [al[0]] + [al[2 * i - 1] + al[2 * i] for i in range(1, n - 1)]
+    lam = [al[2 * i - 2] * al[2 * i - 1] for i in range(1, n - 1)]
+    P_M = _tridiagonal(b, lam, n)
+    times_M = _times(P_M)
+    M = [[1]]
+    for _ in range(n - 1):
+        M.append(times_M(M[-1]))
+    neg = [-v for v in al]
+    Ninv = _s_polynomial_rows(neg, n, _shift)
+    C = _s_polynomial_rows(neg, n, times_M)
+    Cinv = _j_polynomial_rows([-v for v in b], [-v for v in lam], n, partial(_times_behead, al))
+    top = max([max(r) for rows in (N, P_N, M, P_M.rows, Ninv, C, [al]) for r in rows])
+    top = max(top, n * max(map(max, C)) * max(map(max, Cinv)))
+    return (top.bit_length() + 64) // 64
 
 
 def _q_pascal(m: int):

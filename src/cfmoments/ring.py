@@ -22,18 +22,12 @@ returns at once when 1 is left, and otherwise long-divides, which for a
 constant is one divmod per coefficient.  The q-case divides almost only
 by monomials: its column divisors are powers of q.
 
-The triangle kernels' row sum accumulates each Z[q] entry as one
-coefficient list: every term x·y adds into it through ``_zq_addmul``,
-with the same shape rules, and ``QPoly._from_ints`` closes it, so no
-QPoly product or partial sum is built.  Int and field entries keep the
-operator fold.
-
-The Z[q] Hankel sweep runs on integers instead (Kronecker substitution):
-``_zq_pack`` maps a value to its image under q -> 2^(64m), one
-coefficient per slot of 64m bits laid out through ``array('q')`` and
-``int.from_bytes``, and ``_zq_slots`` and ``_zq_unpack`` read the
-coefficients back the same way.  All three are linear in the number of
-coefficients.
+The Z[q] Hankel sweep and the Z[q] constructions of ``compare`` run on
+integers (Kronecker substitution): ``_zq_pack`` maps a value to its
+image under q -> 2^(64m), one coefficient per slot of 64m bits laid out
+through ``array('q')`` and ``int.from_bytes``, and ``_zq_slots`` and
+``_zq_unpack`` read the coefficients back the same way.  All three are
+linear in the number of coefficients.
 
 Field values reach those integer loops cleared of their denominators:
 terms by their lcm (``_cleared``), moment lists by index
@@ -499,48 +493,6 @@ def _check_scalars(values, what):
             if type(v) not in _SCALAR_TYPES:
                 raise TypeError(f"{what} is not a ring scalar: {v!r}")
     return types
-
-
-def _zq_addmul(acc, x, y):
-    """Add x·y, two nonzero ints or QPolys, into the coefficient list acc,
-    growing it as needed; no product or partial sum is built.
-
-    When one operand is an int or a monomial c·q^m, the other is scaled
-    by c into the list at offset m, in one step if it is a monomial too.
-    Only two polynomials of two or more terms each run the schoolbook
-    loop.  ``QPoly._from_ints(acc)`` closes the sum.
-    """
-    if type(x) is int:
-        if type(y) is int:
-            acc[0] += x * y
-            return
-        c, m, p = x, 0, y.coeffs
-    elif type(y) is int:
-        c, m, p = y, 0, x.coeffs
-    else:
-        a, b = x.coeffs, y.coeffs
-        if not any(a[:-1]):
-            c, m, p = a[-1], len(a) - 1, b
-        elif not any(b[:-1]):
-            c, m, p = b[-1], len(b) - 1, a
-        else:
-            top = len(a) + len(b) - 1
-            if len(acc) < top:
-                acc += [0] * (top - len(acc))
-            for i, c in enumerate(a):
-                if c:
-                    for k, v in enumerate(b, i):
-                        acc[k] += c * v
-            return
-    # c·q^m times p
-    top = m + len(p)
-    if len(acc) < top:
-        acc += [0] * (top - len(acc))
-    if any(p[:-1]):
-        for k, v in enumerate(p, m):
-            acc[k] += c * v
-    else:
-        acc[top - 1] += c * p[-1]
 
 
 # array('q') holds its items in native byte order; the packed integers

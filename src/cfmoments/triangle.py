@@ -8,10 +8,9 @@ minor vanishes.
 
 Everything is exact; entries are ring scalars and all divisions either
 stay in the ring or raise.  generate, invert and mul each build every
-output row as one sum of scaled rows (``_row_sum``), over the ring their
-operands' types name once per call: Z, Z[q] or the fraction field.  Its
-entries equal the index-by-index fold ``s = s + x*y``; over Z[q] each is
-one coefficient list that every term adds into.  The Hankel sweep runs
+output row as one sum of scaled rows (``_row_sum``), whose entries equal
+the index-by-index fold ``s = s + x*y``; over Z and Z[q] it skips zero
+terms, over the fraction field it keeps them.  The Hankel sweep runs
 on Python ints: Z[q] moments are packed at q -> 2^64 (Kronecker
 substitution), every quotient is checked from its 64-bit slots, and the
 sweep reruns with wider slots when a check fails.  Field moments are
@@ -31,7 +30,6 @@ from .ring import (
     _graded,
     _in_zq,
     _peel,
-    _zq_addmul,
     _zq_coeffs,
     _zq_pack,
     _zq_slots,
@@ -165,14 +163,14 @@ def invert(T: Triangle) -> Triangle:
         if d == 0:
             raise ZeroDivisionError(f"zero diagonal entry at row {i}")
         diag_inv.append(1 if d == 1 else (-1 if d == -1 else field_div(1, d)))
-    ring = _ring(T.types | set(map(type, diag_inv)))
+    keep = not T.types | set(map(type, diag_inv)) <= _ZQ_TYPES
     rows, terms = [], []
     for i, (t, d) in enumerate(zip(T.rows, diag_inv)):
         # -d·s with no product when d is 1 or -1; a zero sum is int 0
-        sums = _row_sum(t, terms, i, ring)
+        sums = _row_sum(t, terms, i, keep)
         rows.append([0 if s == 0 else -s if d == 1 else s if d == -1 else -(d * s) for s in sums])
         rows[-1].append(d)
-        terms.append(_terms(rows[-1], ring))
+        terms.append(_terms(rows[-1], keep))
     return Triangle(rows)
 
 
@@ -180,52 +178,33 @@ def mul(A: Triangle, B: Triangle) -> Triangle:
     """Matrix product of two triangles of the same size."""
     if A.size != B.size:
         raise ValueError("size mismatch")
-    ring = _ring(A.types | B.types)
-    terms = [_terms(r, ring) for r in B.rows]
-    return Triangle([_row_sum(a, terms, len(a), ring) for a in A.rows])
-
-
-# ring tags of the row sum, one per kernel call
-_Z, _ZQ, _FIELD = "Z", "Z[q]", "field"
-
-
-def _ring(types):
-    """The ring tag of entries of these types: Z for ints only, Z[q] for
-    ints and QPolys with a QPoly present, the fraction field otherwise."""
-    return _Z if types == {int} else _ZQ if types <= _ZQ_TYPES else _FIELD
+    keep = not A.types | B.types <= _ZQ_TYPES
+    terms = [_terms(r, keep) for r in B.rows]
+    return Triangle([_row_sum(a, terms, len(a), keep) for a in A.rows])
 
 
 def _times(P):
-    """The row operator v -> v·P for v of at most P.size entries, ints or
-    QPolys when P's entries are: v·P has one entry more than v."""
-    ring = _ring(P.types)
-    terms = [_terms(r, ring) for r in P.rows]
-    return lambda v: _row_sum(v, terms, len(v) + 1, ring)
+    """The row operator v -> v·P for v of at most P.size entries: v·P has
+    one entry more than v."""
+    keep = not P.types <= _ZQ_TYPES
+    terms = [_terms(r, keep) for r in P.rows]
+    return lambda v: _row_sum(v, terms, len(v) + 1, keep)
 
 
-def _terms(row, ring):
-    """The (column, entry) pairs of a row: over Z and Z[q] its nonzero
-    ones, over a field all."""
-    return list(enumerate(row)) if ring is _FIELD else [(j, y) for j, y in enumerate(row) if y]
+def _terms(row, keep):
+    """The (column, entry) pairs of a row: all of them, or with ``keep``
+    false only the nonzero ones."""
+    return list(enumerate(row)) if keep else [(j, y) for j, y in enumerate(row) if y]
 
 
-def _row_sum(xs, rows, width, ring):
+def _row_sum(xs, rows, width, keep):
     """Σ_t xs[t]·(row t), the rows given by ``_terms``, as ``width`` entries.
     Each entry equals in value and exact type the index-by-index fold
-    ``s = s + x*y`` from 0, t ascending.  Over Z and Z[q] zero terms are
-    skipped, so a banded P generates in O(n^2); over a field every term is
-    kept, as a Fraction(0) would change an int sum's type.  Over Z[q] each
-    entry is one coefficient list that every term adds into
-    (``ring._zq_addmul``), closed once by ``QPoly._from_ints``."""
-    if ring is _ZQ:
-        accs = [[0] for _ in range(width)]
-        for x, row in zip(xs, rows):
-            if x:
-                for j, y in row:
-                    _zq_addmul(accs[j], x, y)
-        return [QPoly._from_ints(acc) for acc in accs]
+    ``s = s + x*y`` from 0, t ascending.  ``keep`` is set for entries
+    outside Z[q]: over Z and Z[q] zero terms are skipped, so a banded P
+    generates in O(n^2); over a field every term is kept, as a Fraction(0)
+    would change an int sum's type."""
     acc = [0] * width
-    keep = ring is _FIELD
     for x, row in zip(xs, rows):
         if x or keep:
             for j, y in row:

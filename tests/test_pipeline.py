@@ -435,6 +435,118 @@ def test_compare_product_is_inverse_times_second():
     assert production_of(invert(r.C)) == r.prodCinv
 
 
+def _packed_term(rng, kind):
+    """A nonzero Z[q] term: small signed coefficients, 2^70-sized ones, a
+    monomial c·q^e or an int."""
+    if kind == "signed":
+        cs = [rng.randrange(-4, 5) for _ in range(rng.randrange(1, 4))] + [rng.choice((1, -2))]
+    elif kind == "huge":
+        cs = [rng.randrange(-(2**70), 2**70) for _ in range(rng.randrange(1, 3))] + [2**70]
+    elif kind == "monomial":
+        cs = [0] * rng.randrange(1, 4) + [rng.choice((1, -1, 3))]
+    else:
+        return rng.choice((1, -1, 2, -3))
+    return QPoly.make(cs)
+
+
+def _packed_inputs(seed, count):
+    """(a, n) pairs of Z[q] terms with a QPoly among them, a_1 = 1."""
+    rng = random.Random(seed)
+    kinds = ("signed", "huge", "monomial", "int")
+    for i in range(count):
+        # one kind throughout, or a mix of all four; the Hankel gate's
+        # sweep dominates on 2^70 coefficients, so those stay small
+        pick = [kinds[i % 5]] if i % 5 < 4 else kinds
+        n = rng.randrange(2, 5 if "huge" in pick else 8)
+        terms = [_packed_term(rng, rng.choice(pick)) for _ in range(2 * n - 1)]
+        terms[rng.randrange(2 * n - 1)] = _packed_term(rng, "signed" if i % 5 == 3 else pick[0])
+        if all(type(t) is int for t in terms):
+            terms[0] = 1 + q
+        yield SFractionCoeffs([1] + terms), n
+
+
+def _l1(v):
+    return abs(v) if type(v) is int else sum(map(abs, v.coeffs))
+
+
+def test_zq_compare_slot_width_bounds_every_returned_entry_random(monkeypatch):
+    # the majorant's m reads every returned entry back from its image:
+    # each has l1 norm below 2^(64m-1), and the 2^70 coefficients need m >= 2
+    widths = []
+    real = pipeline._slot_count
+
+    def recorded(terms, n):
+        widths.append(real(terms, n))
+        return widths[-1]
+
+    monkeypatch.setattr(pipeline, "_slot_count", recorded)
+    for a, n in _packed_inputs(20261019, 150):
+        del widths[:]
+        r = compare(a, n)
+        assert all(ok for _, ok in r.diagnostics), a
+        (m,) = widths
+        for name in _RESULT_PARTS[1:]:
+            top = max(_l1(v) for row in getattr(r, name).rows for v in row)
+            assert top < 2 ** (64 * m - 1), (name, a, n, m)
+        if any(type(t) is QPoly and max(map(abs, t.coeffs)) >= 2**70 for t in a.terms[: 2 * n]):
+            assert m >= 2
+    assert widths
+
+
+def test_zq_compare_matches_the_constructions_on_the_terms_in_exact_type():
+    # the packed run against the constructions called on the QPoly terms
+    for a, n in _packed_inputs(20261020, 60):
+        r = compare(a, n)
+        N, prodN = build_N_via_behead(a, n)
+        M, prodM = build_M(a, n)
+        b = [row[i] for i, row in enumerate(prodM.rows)]
+        lam = [row[i - 1] for i, row in enumerate(prodM.rows) if i]
+        C = Triangle(pipeline._s_polynomial_rows(a.terms, n, triangle._times(prodM)))
+        Cinv = pipeline._j_polynomial_rows(b, lam, n, partial(pipeline._times_behead, a.terms))
+        want = {
+            "N": N,
+            "M": M,
+            "Ninv": Triangle(pipeline._s_polynomial_rows(a.terms, n, pipeline._shift)),
+            "C": C,
+            "prodN": prodN,
+            "prodM": prodM,
+            "prodCinv": production_of(Triangle(Cinv), Triangle(C.rows[:-1])),
+        }
+        assert build_N_via_rescale(a, n) == N
+        for name, m in want.items():
+            got = getattr(r, name)
+            assert type(got) is type(m) and _typed_rows(got) == _typed_rows(m), (name, a, n)
+        mu = moments_from_jfraction(s_to_j(a), n)
+        assert [(type(v), v) for v in r.mu] == [(type(v), v) for v in mu]
+
+
+def test_int_and_fraction_compares_never_pack(monkeypatch):
+    # and the constructions of a Z[q] compare, or of a Q(q) one whose
+    # cleared terms are all QPolys, do
+    packed = []
+    real = pipeline._zq_pack
+
+    def spy(name):
+        def pack(x, m):
+            packed.append(name)
+            return real(x, m)
+
+        return pack
+
+    for module in (pipeline, triangle):
+        monkeypatch.setattr(module, "_zq_pack", spy(module.__name__))
+    for a, n in (
+        (alternating(16), 8),
+        (SFractionCoeffs([1, Fraction(1, 2), 3, Fraction(-2, 3), 1, 2, 5, 1]), 4),
+    ):
+        assert all(ok for _, ok in compare(a, n).diagnostics)
+    assert packed == []
+    for a in (q_powers(8), SFractionCoeffs([1] + [QRat.make(1 + q, 1 + 2 * q)] * 7)):
+        del packed[:]
+        assert all(ok for _, ok in compare(a, 4).diagnostics)
+        assert "cfmoments.pipeline" in packed
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_compare_over_rational_functions_routes_agree(n):
     rng = random.Random(n)

@@ -15,7 +15,6 @@ from cfmoments.ring import (
     QPoly,
     QRat,
     ScalarParseError,
-    _zq_addmul,
     _zq_gcd,
     _zq_pack,
     _zq_slots,
@@ -511,49 +510,6 @@ def test_monomial_and_unit_paths_match_schoolbook_random():
         assert exact_div(p * mono, mono) == p
         assert exact_div(p * mono * r, mono * r) == p
         assert exact_div(p * c, c) == p
-
-
-def _fold(xs, ys):
-    s = 0
-    for x, y in zip(xs, ys):
-        s = s + x * y
-    return s
-
-
-def _dot_operand(rng):
-    kind = rng.randrange(4)
-    if kind == 0:
-        return 0
-    if kind == 1:
-        return rng.randrange(-(2**80), 2**80 + 1)
-    if kind == 2:
-        return QPoly.make([0] * rng.randrange(41) + [rng.choice((1, -1))])
-    return QPoly.make([rng.randrange(-(2**80), 2**80 + 1) for _ in range(rng.randrange(2, 12))])
-
-
-def _accumulated(xs, ys):
-    """Σ x·y with every nonzero term added into one coefficient list."""
-    acc = [0]
-    for x, y in zip(xs, ys):
-        if x and y:
-            _zq_addmul(acc, x, y)
-    return QPoly._from_ints(acc)
-
-
-def test_zq_addmul_matches_the_operator_fold_random():
-    rng = random.Random(20261018)
-    assert type(_accumulated([], [])) is int and _accumulated([], []) == 0
-    for _ in range(800):
-        xs = [_dot_operand(rng) for _ in range(rng.randrange(7))]
-        ys = [_dot_operand(rng) for _ in range(rng.randrange(7))]
-        want = _fold(xs, ys)
-        got = _accumulated(xs, ys)
-        assert type(got) is type(want) and got == want, (xs, ys)
-        # one more term takes the sum back to a constant
-        c = rng.randrange(-3, 4)
-        k = min(len(xs), len(ys))
-        got = _accumulated(xs[:k] + [want - c], ys[:k] + [-1])
-        assert type(got) is int and got == c, (xs, ys)
 
 
 def test_make_checks_coefficient_types():

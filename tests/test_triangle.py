@@ -547,9 +547,9 @@ def test_row_store_raises_the_first_bad_rows_error():
 
 
 def _stack_spies(monkeypatch, kernel_fns):
-    """Calls of QPoly products and sums and of the Z[q] division and accumulate
-    kernels, each tagged with the innermost of ``kernel_fns`` on the stack
-    (None when none of them is)."""
+    """Calls of QPoly products and sums and of the Z[q] division, each
+    tagged with the innermost of ``kernel_fns`` on the stack (None when
+    none of them is)."""
     kernels = {f.__code__: f.__name__ for f in kernel_fns}
     calls = []
 
@@ -566,27 +566,28 @@ def _stack_spies(monkeypatch, kernel_fns):
     for name, op in (("__mul__", "mul"), ("__rmul__", "mul"), ("__add__", "add"),
                      ("__radd__", "add")):
         monkeypatch.setattr(QPoly, name, counted(getattr(QPoly, name), op))
-    for module, name in ((triangle, "exact_div"), (ring, "_zq_exact_div"),
-                         (triangle, "_zq_addmul"), (ring, "_zq_addmul")):
+    for module, name in ((triangle, "exact_div"), (ring, "_zq_exact_div")):
         monkeypatch.setattr(module, name, counted(getattr(module, name), name))
     return calls
 
 
 def test_zq_compare_kernels_make_no_qpoly_product_or_sum(monkeypatch):
-    # every Z[q] entry of generate, invert and mul is one accumulated
-    # coefficient list, and the Hankel sweep runs on packed ints: a QPoly
-    # product or sum below any of them means a kernel fell back to the
-    # operator fold, and the sweep makes no Z[q] division and no
-    # accumulate call either
-    calls = _stack_spies(monkeypatch, (generate, invert, mul, triangle._hankel_pivots))
+    # past the Hankel gate every construction runs on the terms' images
+    # under q -> 2^(64m), and the sweep of the gate runs on packed ints:
+    # QPoly products and sums are made only by the moment and product
+    # formulas of the gate, and nothing divides in Z[q]
     a = SFractionCoeffs([1, q, 1 + q, q**2, q + q**2, q**3, 1 + q, q, q**2, 1 + q, q**3, q])
+    calls = _stack_spies(monkeypatch, (moments_from_sfraction, hankel_from_sfraction))
     r = compare(a, 6)
     assert all(ok for _, ok in r.diagnostics)
     assert any(type(v) is QPoly for row in r.C.rows for v in row)
-    assert {c for c in calls if c[0] is not None and c[1] in ("mul", "add")} == set()
-    assert {c for c in calls if c[0] == "_hankel_pivots"} == set()
-    assert (None, "mul") in calls and (None, "add") in calls
-    assert ("mul", "_zq_addmul") in calls and (None, "exact_div") in calls
+    assert {c for c in calls if c[0] is None and c[1] in ("mul", "add")} == set()
+    assert {c[0] for c in calls if c[1] in ("mul", "add")} == {
+        "moments_from_sfraction",
+        "hankel_from_sfraction",
+    }
+    assert (None, "exact_div") in calls
+    assert [c for c in calls if c[1] == "_zq_exact_div"] == []
 
 
 def test_int_sweep_makes_no_exact_div_call(monkeypatch):
