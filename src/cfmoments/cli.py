@@ -165,14 +165,10 @@ def _ring_label(values) -> str:
     return "q" if any(isinstance(v, (QPoly, QRat)) for v in values) else "int"
 
 
-def _matrix_ring(rows) -> str:
-    return _ring_label([v for row in rows for v in row])
-
-
 def _matrix_json_obj(m):
     return {
         "size": m.size,
-        "ring": _matrix_ring(m.rows),
+        "ring": _ring_label([v for row in m.rows for v in row]),
         "rows": [[render(v) for v in row] for row in m.rows],
     }
 
@@ -238,7 +234,6 @@ def _format_report(rep, fmt: str) -> str:
     qfield = None
     if rep.example == "qcase":
         qfield = "symbolic" if rep.q_value is None else rep.q_value
-    rows = [[c.name, c.status, c.expected, c.actual, c.note] for c in rep.checks]
     if fmt == "json":
         keys = ("name", "status", "expected", "computed", "note")
         return json.dumps(
@@ -246,15 +241,15 @@ def _format_report(rep, fmt: str) -> str:
                 "example": rep.example,
                 "size": rep.size,
                 "q": qfield,
-                "checks": [dict(zip(keys, row)) for row in rows],
+                "checks": [dict(zip(keys, row)) for row in rep.checks],
                 "pass": rep.passed,
             },
             indent=2,
         )
     if fmt == "csv":
-        return _csv(rows)
+        return _csv(rep.checks)
     lines = []
-    for name, status, expected, actual, note in rows:
+    for name, status, expected, actual, note in rep.checks:
         if status == "pass":
             lines.append(f"PASS {name}")
             continue

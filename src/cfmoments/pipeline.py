@@ -23,6 +23,7 @@ with the independent evidence.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import partial
 
 from .cfrac import (
@@ -46,6 +47,7 @@ from .ring import (
     _zq_coeffs,
     _zq_pack,
     _zq_unpack,
+    _zq_width,
     eval_q,
     exact_div,
     field_div,
@@ -260,36 +262,15 @@ def _j_polynomial_rows(b, lam, n, times_P):
     return rows
 
 
-class ComparisonResult:
+class ComparisonResult(
+    namedtuple("ComparisonResult", "a mu N M Ninv C prodN prodM prodCinv diagnostics")
+):
     """Bundle of everything the comparison produces: the coefficient
     sequence, moments, both matrices, the first one's inverse, their
     product, production matrices, and named self-consistency
     diagnostics."""
 
-    __slots__ = (
-        "a",
-        "mu",
-        "N",
-        "M",
-        "Ninv",
-        "C",
-        "prodN",
-        "prodM",
-        "prodCinv",
-        "diagnostics",
-    )
-
-    def __init__(self, a, mu, N, M, Ninv, C, prodN, prodM, prodCinv, diagnostics):
-        self.a = a
-        self.mu = mu
-        self.N = N
-        self.M = M
-        self.Ninv = Ninv
-        self.C = C
-        self.prodN = prodN
-        self.prodM = prodM
-        self.prodCinv = prodCinv
-        self.diagnostics = diagnostics
+    __slots__ = ()
 
 
 def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
@@ -438,7 +419,7 @@ def _slot_count(terms, n):
     Cinv = _j_polynomial_rows([-v for v in b], [-v for v in lam], n, partial(_times_behead, al))
     top = max([max(r) for rows in (N, P_N, M, P_M.rows, Ninv, C, [al]) for r in rows])
     top = max(top, n * max(map(max, C)) * max(map(max, Cinv)))
-    return (top.bit_length() + 64) // 64
+    return _zq_width(top)
 
 
 def _q_pascal(m: int):
@@ -460,34 +441,20 @@ def q_binomial(m: int, k: int):
     return _q_pascal(m)[m][k]
 
 
-class CheckResult:
+class CheckResult(
+    namedtuple("CheckResult", "name status expected actual note", defaults=("", "", ""))
+):
     """One verification check: name, status (pass, fail, or
     documented-discrepancy), rendered expected/actual values, and a
     free-form note."""
 
-    __slots__ = ("name", "status", "expected", "actual", "note")
-
-    def __init__(self, name, status, expected="", actual="", note=""):
-        self.name = name
-        self.status = status
-        self.expected = expected
-        self.actual = actual
-        self.note = note
-
-    def __repr__(self):
-        return f"CheckResult({self.name!r}, {self.status!r})"
+    __slots__ = ()
 
 
-class VerifyReport:
+class VerifyReport(namedtuple("VerifyReport", "example size q_value checks")):
     """Outcome of replaying one example: the check list plus context."""
 
-    __slots__ = ("example", "size", "q_value", "checks")
-
-    def __init__(self, example, size, q_value, checks):
-        self.example = example
-        self.size = size
-        self.q_value = q_value
-        self.checks = list(checks)
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -508,6 +475,7 @@ def _run_checks(checks) -> list:
     results = []
     for name, thunk in checks:
         got = thunk()
+        # a CheckResult is a tuple too, so it is recognised first
         if not isinstance(got, CheckResult):
             ok, note = got if isinstance(got, tuple) else (got, "")
             got = CheckResult(name, "pass" if ok else "fail", note=note)

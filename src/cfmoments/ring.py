@@ -14,13 +14,11 @@ arithmetic, which closes each result with the trusted ``_from_ints``; a
 QRat from ``QRat.make`` or from the arithmetic, whose coprime results go
 to the trusted ``_reduced``.  Neither class has a constructor.
 
-Z[q] products and exact quotients are linear in the other operand when
-one operand is a monomial c·q^m.  A factor 1 or 0 returns at once, a
-monomial factor scales and shifts the other one, and any other product
-is schoolbook.  Division takes the divisor's power of q off both sides,
-returns at once when 1 is left, and otherwise long-divides, which for a
-constant is one divmod per coefficient.  The q-case divides almost only
-by monomials: its column divisors are powers of q.
+Z[q] products are linear in the other operand when one operand is a
+monomial c·q^m.  A factor 1 or 0 returns at once, a monomial factor
+scales and shifts the other one, and any other product is schoolbook.
+Exact division returns at once for a divisor 1 and otherwise
+long-divides, which for a constant is one divmod per coefficient.
 
 The Z[q] Hankel sweep and the Z[q] constructions of ``compare`` run on
 integers (Kronecker substitution): ``_zq_pack`` maps a value to its
@@ -273,18 +271,13 @@ def _zq_gcd(x, y):
 
 
 def _zq_exact_div(x, y):
-    """Exact division in the polynomial ring.  The divisor's power q^m
-    comes off both operands (x's coefficients below q^m are a remainder);
-    a divisor that is then 1 returns x/q^m, and any other long-divides
-    from the top.  Whatever is left is a remainder, and then it raises."""
+    """Exact division in the polynomial ring.  A divisor 1 returns x,
+    and any other long-divides from the top.  Whatever is left is a
+    remainder, and then it raises."""
     xs = _strip(_zq_coeffs(x))
     ys = _strip(_zq_coeffs(y))
-    m = 0
-    while not ys[m]:
-        m += 1
-    low, xs, ys = xs[:m], xs[m:], ys[m:]
-    if ys == [1] and not any(low):
-        return x if m == 0 else QPoly._from_ints(xs)
+    if ys == [1]:
+        return x
     dy, rem = len(ys) - 1, 0
     out = [0] * max(len(xs) - dy, 0)
     for k in range(len(out) - 1, -1, -1):
@@ -295,7 +288,7 @@ def _zq_exact_div(x, y):
         # the top coefficient cancels exactly; only the dy below it change
         for j in range(dy):
             xs[k + j] -= quot * ys[j]
-    if rem or any(low) or any(xs[:dy]):
+    if rem or any(xs[:dy]):
         raise ExactDivisionError(f"{render(x)} not divisible by {render(y)}")
     return QPoly._from_ints(out)
 
@@ -500,6 +493,12 @@ def _check_scalars(values, what):
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
+def _zq_width(x):
+    """The fewest 64-bit slots m with 0 <= x < 2^(64m-1): a slot of 64m
+    bits holds every coefficient of magnitude at most x."""
+    return x.bit_length() // 64 + 1
+
+
 @lru_cache(maxsize=256)
 def _zq_bias(n, m):
     """The integer whose n slots of 64m bits each hold 2^(64m-1)."""
@@ -630,8 +629,6 @@ def _poly_text(cs):
             pw = "q" if k == 1 else f"q^{k}"
             body = pw if mag == 1 else f"{mag}*{pw}"
         parts.append((c < 0, body))
-    if not parts:
-        return "0"
     neg, body = parts[0]
     out = ("-" if neg else "") + body
     for neg, body in parts[1:]:

@@ -11,9 +11,10 @@ stay in the ring or raise.  generate, invert and mul each build every
 output row as one sum of scaled rows (``_row_sum``), whose entries equal
 the index-by-index fold ``s = s + x*y``; over Z and Z[q] it skips zero
 terms, over the fraction field it keeps them.  The Hankel sweep runs
-on Python ints: Z[q] moments are packed at q -> 2^64 (Kronecker
-substitution), every quotient is checked from its 64-bit slots, and the
-sweep reruns with wider slots when a check fails.  Field moments are
+on Python ints: Z[q] moments are packed at q -> 2^(64m) (Kronecker
+substitution), every quotient is checked from its slots of 64m bits, and
+the sweep starts at the moments' own width and reruns with m doubled
+when a check fails.  Field moments are
 graded by index first, mu_j -> d·c^j·mu_j, and each result is divided
 back by peeling one c at a time.
 """
@@ -34,6 +35,7 @@ from .ring import (
     _zq_pack,
     _zq_slots,
     _zq_unpack,
+    _zq_width,
     exact_div,
     field_div,
 )
@@ -288,7 +290,7 @@ def _hankel_pivots(mu, types):
         )
     if QPoly not in types:
         return _int_sweep(mu, 0)
-    m = max([abs(c) for v in mu for c in _zq_coeffs(v)]).bit_length() // 64 + 1
+    m = _zq_width(max([abs(c) for v in mu for c in _zq_coeffs(v)]))
     while True:
         got = _int_sweep([_zq_pack(v, m) for v in mu], m)
         if got is not None:
@@ -407,8 +409,7 @@ def _widest_slots(mu):
     a = max([1] + [max(map(abs, c)) for c in cs])
     length = max(map(len, cs))
     most = math.factorial(k) * length ** (k - 1) * a**k
-    bits = (4 * (k * length + 1) * most * most).bit_length() + 1
-    return -(-bits // 64)
+    return _zq_width(4 * (k * length + 1) * most * most)
 
 
 def hankel_det(mu, n: int):

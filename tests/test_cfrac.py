@@ -34,6 +34,18 @@ def test_jfraction_invariant():
         JFractionCoeffs([], [])
 
 
+def test_coefficient_equality():
+    assert JFractionCoeffs([1, 2], [3]) == JFractionCoeffs([1, 2], [3])
+    assert JFractionCoeffs([1, 2], [3]) != JFractionCoeffs([1, 2], [4])
+    assert JFractionCoeffs([1, 2], [3]) != JFractionCoeffs([1, 5], [3])
+    assert SFractionCoeffs([1, q]) == SFractionCoeffs([1, q])
+    assert SFractionCoeffs([1, q]) != SFractionCoeffs([1, 2])
+    for other in (1, [1, 2], SFractionCoeffs([1, 2])):
+        assert (JFractionCoeffs([1, 2], [3]) == other) is False
+    for other in (1, (1, 2), JFractionCoeffs([1, 2], [3])):
+        assert (SFractionCoeffs([1, 2]) == other) is False
+
+
 def test_s_to_j_constant_ones():
     j = s_to_j(SFractionCoeffs([1] * 5))
     assert j.b == (1, 2, 2)

@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import random
+import types
 
 import pytest
 
@@ -11,11 +12,12 @@ from cfmoments.cli import (
     SequenceSpec,
     _build_parser,
     SpecParseError,
+    _format_report,
     parse_matrix_json,
     parse_spec,
     run,
 )
-from cfmoments.pipeline import CheckResult, VerifyReport, compare
+from cfmoments.pipeline import CheckResult, VerifyReport, compare, verify_example
 from cfmoments.ring import QPoly, q
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -266,6 +268,36 @@ def test_exit_three_precondition(argv, capsys):
     assert rc == 3
     assert err.startswith("precondition-error: ")
     assert err.count("\n") == 1
+
+
+def test_trailing_input_in_moments_is_a_usage_error(capsys):
+    assert _run(["qd", "--moments", "1,1 2"], capsys) == (
+        2,
+        "",
+        "usage-error: unexpected trailing input at byte 4\n",
+    )
+
+
+def test_check_results_are_records():
+    assert CheckResult("x", "pass") == CheckResult("x", "pass", "", "", "")
+    assert CheckResult("x", "pass") != CheckResult("x", "pass", note="n")
+    assert CheckResult("x", "fail", "1", "2").actual == "2"
+
+
+def test_report_renders_the_same_from_plain_rows():
+    rep = verify_example("qcase", 6)
+    rep = rep._replace(checks=rep.checks + [CheckResult("broken", "fail", "1", "2", "n")])
+    plain = types.SimpleNamespace(
+        example=rep.example,
+        size=rep.size,
+        q_value=rep.q_value,
+        checks=[list(c) for c in rep.checks],
+        passed=rep.passed,
+        counts=rep.counts,
+    )
+    assert rep.counts == (len(rep.checks) - 3, 1, 2)
+    for fmt in ("pretty", "csv", "json"):
+        assert _format_report(rep, fmt) == _format_report(plain, fmt)
 
 
 def test_exit_one_on_verify_failure(monkeypatch, capsys):

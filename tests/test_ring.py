@@ -208,6 +208,9 @@ def test_parse_scalar_errors_carry_offset():
     with pytest.raises(ScalarParseError) as e:
         parse_scalar("(1 + q")
     assert e.value.offset == 6
+    with pytest.raises(ScalarParseError, match="unexpected trailing input") as e:
+        parse_scalar("1 2")
+    assert e.value.offset == 2
     with pytest.raises(ScalarParseError):
         parse_scalar("1/0")
     with pytest.raises(ScalarParseError):
