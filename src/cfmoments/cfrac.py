@@ -215,7 +215,7 @@ def qd_sfraction_from_moments(mu) -> SFractionCoeffs:
     c = 1
     if not _in_zq(mu):
         c, _, mu = _graded(mu)
-    h, nu = _hankel_pivots(mu, set(map(type, mu)))
+    h, nu = _hankel_pivots(mu)
     # h[k + 1] = h_k, nu[k + 1] = nu_k; h_{-1} = 1, nu_{-1} = 0 and a_0 = 0
     # make the odd formula give a_1 = nu_0 / h_0
     h, nu = [1, *h], [0, *nu]

@@ -10,13 +10,13 @@ Everything is exact; entries are ring scalars and all divisions either
 stay in the ring or raise.  generate, invert and mul each build every
 output row as one sum of scaled rows (``_row_sum``), whose entries equal
 the index-by-index fold ``s = s + x*y``; over Z and Z[q] it skips zero
-terms, over the fraction field it keeps them.  The Hankel sweep runs
-on Python ints: Z[q] moments are packed at q -> 2^(64m) (Kronecker
-substitution), every quotient is checked from its slots of 64m bits, and
-the sweep starts at the moments' own width and reruns with m doubled
-when a check fails.  Field moments are
-graded by index first, mu_j -> d·c^j·mu_j, and each result is divided
-back by peeling one c at a time.
+terms, over the fraction field it keeps them.  The Hankel sweep and
+its Bareiss fallback take ints and QPolys only; hankel_transform grades
+field moments into Z or Z[q] and divides each determinant back.  The
+sweep runs on Python ints: Z[q] moments are packed at q -> 2^(64m)
+(Kronecker substitution), every quotient is checked from its slots of
+64m bits, and the sweep starts at the moments' own width and reruns
+with m doubled when a check fails.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .ring import (
     QPoly,
     _check_scalars,
     _graded,
-    _in_zq,
     _peel,
     _zq_coeffs,
     _zq_pack,
@@ -242,9 +241,8 @@ def rescale_columns(T: Triangle, scale) -> Triangle:
 
 
 def _bareiss_det(m):
-    """Fraction-free determinant of a square matrix given as lists; every
-    interior division is exact, in Z or Z[q] or else in the fraction field."""
-    div = exact_div if all(_in_zq(r) for r in m) else field_div
+    """Fraction-free determinant of a square matrix of ints and QPolys
+    given as lists; every interior division is exact in Z or Z[q]."""
     n = len(m)
     sign = 1
     prev = 1
@@ -259,36 +257,25 @@ def _bareiss_det(m):
                 return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = div(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
+                m[i][j] = exact_div(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
             m[i][k] = 0
         prev = m[k][k]
     v = m[n - 1][n - 1]
     return -v if sign < 0 else v
 
 
-def _hankel_pivots(mu, types):
-    """h_0, h_1, ... and nu_{0,1}, nu_{1,2}, ... of the whole list by the
-    fraction-free three-term recurrence, stopping after the first h_k that
-    is zero: the next step would divide by it.  O(len(mu)^2) ring
-    operations; ``types`` are the types of mu.
+def _hankel_pivots(mu):
+    """h_0, h_1, ... and nu_{0,1}, nu_{1,2}, ... of a list of ints and
+    QPolys by the fraction-free three-term recurrence, stopping after the
+    first h_k that is zero: the next step would divide by it.
+    O(len(mu)^2) ring operations.
 
     The sweep runs on ints (``_int_sweep``): Z[q] moments are packed at
     q -> 2^(64m) and the pivots and nexts unpacked at the end.  It starts
     at the narrowest m that the moments' largest coefficient fits and,
     when a quotient fails its slot check, reruns with slots twice as wide.
-    Field moments are graded first (``ring._graded``), mu_j -> d·c^j·mu_j:
-    row i and column j of every minor take c^i and c^j, so h_k takes
-    d^(k+1)·c^(k(k+1)) and nu_{k,k+1} one more c, and each is divided
-    back by peeling (``ring._peel``).
     """
-    if not types <= _ZQ_TYPES:
-        c, d, mu = _graded(mu)
-        h, nu = _hankel_pivots(mu, set(map(type, mu)))
-        return (
-            [_peel(v, c, k * (k + 1), d, k + 1) for k, v in enumerate(h)],
-            [_peel(v, c, k * (k + 1) + 1, d, k + 1) for k, v in enumerate(nu)],
-        )
-    if QPoly not in types:
+    if QPoly not in map(type, mu):
         return _int_sweep(mu, 0)
     m = _zq_width(max([abs(c) for v in mu for c in _zq_coeffs(v)]))
     while True:
@@ -423,14 +410,22 @@ def hankel_det(mu, n: int):
 def hankel_transform(mu, count: int):
     """First ``count`` Hankel determinants of a moment list: one sweep of
     the fraction-free three-term recurrence, with Bareiss elimination only
-    for the orders past a vanishing leading minor."""
+    for the orders past a vanishing leading minor.  Field moments are
+    graded first (``ring._graded``), mu_j -> d·c^j·mu_j: row i and column
+    j of a minor take c^i and c^j, so h_k takes d^(k+1)·c^(k(k+1)) on both
+    routes and is divided back by peeling (``ring._peel``)."""
     if count < 1:
         raise ValueError("count must be positive")
     need = 2 * count - 1
     if len(mu) < need:
         raise ValueError(f"need {need} moments, got {len(mu)}")
-    types = _check_scalars(mu[:need], "matrix entry")
-    dets = _hankel_pivots(mu[:need], types)[0]
+    mu = mu[:need]
+    field = not _check_scalars(mu, "matrix entry") <= _ZQ_TYPES
+    if field:
+        c, d, mu = _graded(mu)
+    dets = _hankel_pivots(mu)[0]
     for n in range(len(dets), count):
         dets.append(_bareiss_det([[mu[i + j] for j in range(n + 1)] for i in range(n + 1)]))
+    if field:
+        return [_peel(v, c, k * (k + 1), d, k + 1) for k, v in enumerate(dets)]
     return dets

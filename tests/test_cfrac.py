@@ -64,6 +64,21 @@ def test_s_to_j_q_powers():
     assert j.lam == (q, q**5)
 
 
+def test_s_to_j_needs_a1():
+    with pytest.raises(InsufficientCoefficients, match="need at least a1"):
+        s_to_j(SFractionCoeffs([]))
+
+
+def test_count_must_be_positive():
+    for build, coeffs in (
+        (moments_from_sfraction, SFractionCoeffs([1, 1])),
+        (moments_from_jfraction, JFractionCoeffs([1, 2], [1])),
+        (hankel_from_sfraction, SFractionCoeffs([1, 1])),
+    ):
+        with pytest.raises(ValueError, match="count must be positive"):
+            build(coeffs, 0)
+
+
 def test_s_to_j_even_length_drops_last_pair_product():
     j = s_to_j(SFractionCoeffs([1, 1, 1, 1]))
     assert j.b == (1, 2)

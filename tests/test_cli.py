@@ -61,6 +61,11 @@ def test_spec_refuses_an_empty_cycle():
             SequenceSpec("cycle", [], prefix)
 
 
+def test_spec_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown spec kind 'bogus'"):
+        SequenceSpec("bogus")
+
+
 def test_spec_lit_exhaustion():
     s = parse_spec("lit:1,2")
     with pytest.raises(SequenceExhausted):
@@ -180,6 +185,7 @@ def test_exit_two_usage(argv, capsys):
         (["hankel", "--spec", "qpow", "--count", "10000000"], "--count must be at most 14"),
         (["riordan", "--g", "1", "--f", "x", "--size", "121"], "--size must be at most 120"),
         (["verify", "--example", "qcase", "--size", "16"], "--size must be at most 15"),
+        (["riordan", "--g", "1", "--f", "x", "--size", "0"], "--size must be positive"),
     ],
 )
 def test_size_and_count_above_budget_are_usage_errors(argv, limit, capsys):

@@ -234,7 +234,7 @@ def test_a_field_compare_divides_each_distinct_entry_back_once(monkeypatch):
 
 
 def test_build_n_size_one():
-    for build in (build_N_via_behead, build_N_via_rescale, build_M):
+    for build in (build_N_via_behead, build_N_via_rescale, build_M, compare):
         with pytest.raises(ValueError, match="at least 2"):
             build(ones(4), 1)
 
@@ -244,6 +244,9 @@ def test_build_n_insufficient():
         build_N_via_behead(ones(3), 4)
     with pytest.raises(InsufficientCoefficients):
         build_N_via_rescale(ones(3), 4)
+    # two a-terms give one two-parameter level; size 4 needs three
+    with pytest.raises(InsufficientCoefficients, match="need 3 two-parameter levels, got 1"):
+        build_M(SFractionCoeffs([1, 1]), 4)
 
 
 def test_rescale_route_rejects_zero_coefficient():
@@ -265,6 +268,8 @@ def test_op_coeff_rows():
 def test_op_coeff_insufficient():
     with pytest.raises(InsufficientCoefficients):
         op_coeff_triangle(JFractionCoeffs([1, 2], [1]), 4)
+    with pytest.raises(ValueError, match="size must be positive"):
+        op_coeff_triangle(JFractionCoeffs([1, 2], [1]), 0)
 
 
 def _op_coeff_ref(j, n):

@@ -8,8 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from cfmoments import ring, triangle
-from cfmoments.cfrac import SFractionCoeffs, hankel_from_sfraction, moments_from_sfraction
+from cfmoments import cfrac, ring, triangle
+from cfmoments.cfrac import (
+    SFractionCoeffs,
+    hankel_from_sfraction,
+    moments_from_sfraction,
+    qd_sfraction_from_moments,
+)
 from cfmoments.pipeline import compare
 from cfmoments.ring import ExactDivisionError, QPoly, QRat, exact_div, field_div, q, render
 from cfmoments.triangle import (
@@ -294,13 +299,18 @@ def test_hankel_det_matches_cofactor_qq_random():
 def test_hankel_sweep_nexts_are_the_shifted_minors(size):
     # odd and even list lengths: h_k for 2k < size and
     # nu_{k,k+1} = det(rows 0..k-1 and k+1, cols 0..k) for 2k + 1 < size,
-    # up to and including the first zero pivot
+    # up to and including the first zero pivot.  The sweep takes ints and
+    # QPolys only; Fraction moments reach it graded through
+    # hankel_transform, which returns h alone
     rng = random.Random(36 + size)
     full = 0
     for draw in (_int_entry, _fraction_entry, _poly_entry):
         for _ in range(6):
             mu = [draw(rng) for _ in range(size)]
-            pivots, nexts = triangle._hankel_pivots(mu, set(map(type, mu)))
+            if draw is _fraction_entry:
+                pivots = hankel_transform(mu, (size + 1) // 2)
+            else:
+                pivots, nexts = triangle._hankel_pivots(mu)
             want_h, want_nu = [], []
             for k in range((size + 1) // 2):
                 cols = range(k + 1)
@@ -310,8 +320,11 @@ def test_hankel_sweep_nexts_are_the_shifted_minors(size):
                     want_nu.append(_cofactor_det([[mu[r + c] for c in cols] for r in rows]))
                 if want_h[-1] == 0:
                     break
-            assert (pivots, nexts) == (want_h, want_nu)
-            full += len(pivots) == (size + 1) // 2 and len(nexts) == size // 2
+            if draw is _fraction_entry:
+                assert pivots[: len(want_h)] == want_h
+            else:
+                assert (pivots, nexts) == (want_h, want_nu)
+            full += len(want_h) == (size + 1) // 2 and len(want_nu) == size // 2
     assert full >= 12
 
 
@@ -342,14 +355,18 @@ def test_hankel_recurrence_needs_no_elimination(monkeypatch):
     assert calls == []
 
 
-def test_elimination_divides_in_the_field_for_mixed_entries():
-    # Fraction and Z[q] moments: a fraction-free step divides two Z[q]
-    # values whose quotient has a rational coefficient
+def test_elimination_runs_on_the_graded_mixed_entries():
+    # int, Fraction, Z[q] and Q(q) moments: graded as hankel_transform
+    # grades them, every entry is in Z[q], every step of the elimination
+    # divides exactly there, and the determinant peeled back is the field one
     h, r = Fraction(-5, 2), 2 * q**2 - 1
     a = SFractionCoeffs([1, 2, 1 + q, h, 1 + q, r, r, q, r, Fraction(2, 3)])
     mu = moments_from_sfraction(a, 9)
-    m = [[mu[i + j] for j in range(5)] for i in range(5)]
-    assert triangle._bareiss_det(m) == hankel_det(mu, 4) == hankel_from_sfraction(a, 5)[-1]
+    c, d, graded = ring._graded(mu)
+    m = [[graded[i + j] for j in range(5)] for i in range(5)]
+    assert {type(v) for row in m for v in row} <= {int, QPoly}
+    det = ring._peel(triangle._bareiss_det(m), c, 20, d, 5)
+    assert det == hankel_det(mu, 4) == hankel_from_sfraction(a, 5)[-1]
 
 
 def test_compare_never_eliminates(monkeypatch):
@@ -372,6 +389,55 @@ def test_hankel_preconditions():
 
 def test_hankel_transform():
     assert hankel_transform([1, 1, 2, 5, 14], 3) == [1, 1, 1]
+
+
+def test_fraction_determinants_past_a_vanishing_minor_stay_fractions():
+    # h_1 = 0, so h_2 and h_3 come from elimination; a Fraction never
+    # demotes, whichever route gives the determinant
+    got = hankel_transform([Fraction(1)] * 7, 4)
+    assert got == [1, 0, 0, 0]
+    assert [type(v) for v in got] == [Fraction] * 4
+
+
+def test_hankel_kernels_take_ring_values_only(monkeypatch):
+    # field moments are graded before the sweep and the elimination, so
+    # both see ints and QPolys only, whichever caller reaches them
+    seen = []
+
+    def spy(fn, flat):
+        def kernel(arg):
+            seen.append((fn.__name__, {type(v) for v in flat(arg)}))
+            return fn(arg)
+
+        return kernel
+
+    pivots = spy(triangle._hankel_pivots, list)
+    monkeypatch.setattr(triangle, "_hankel_pivots", pivots)
+    monkeypatch.setattr(cfrac, "_hankel_pivots", pivots)
+    monkeypatch.setattr(
+        triangle, "_bareiss_det", spy(triangle._bareiss_det, lambda m: [v for r in m for v in r])
+    )
+    r = QRat.make(1, 1 + q)
+    fraction = [1, Fraction(1, 2), Fraction(2, 3), 3, Fraction(-5, 4), Fraction(1, 6)]
+    qq = [1, r, Fraction(1, 3), q, QRat.make(2, 1 - q), 1 + q]
+    mixed = [1, 2, 1 + q, Fraction(-5, 2), 1 + q, q]
+    for terms in (fraction, qq, mixed):
+        mu = moments_from_sfraction(SFractionCoeffs(terms), 7)
+        assert not set(map(type, mu)) <= {int, QPoly}
+        assert hankel_transform(mu, 4) == hankel_from_sfraction(SFractionCoeffs(terms), 4)
+        assert hankel_det(mu, 3) == hankel_from_sfraction(SFractionCoeffs(terms), 4)[3]
+        assert qd_sfraction_from_moments(mu) == SFractionCoeffs(terms)
+    # vanishing leading minors send the higher orders to the elimination:
+    # rank 1 over Q and Q(q), and mu_k = q^k + 2^(k-1) of rank 2, mixed
+    for mu in (
+        [Fraction(1, 2)] * 7,
+        [r] * 7,
+        [q**k + Fraction(2**k, 2) for k in range(7)],
+    ):
+        assert not set(map(type, mu)) <= {int, QPoly}
+        assert hankel_transform(mu, 4)[2:] == [0, hankel_det(mu, 3)] == [0, 0]
+    assert {name for name, _ in seen} == {"_hankel_pivots", "_bareiss_det"}
+    assert all(types <= {int, QPoly} for _, types in seen), seen
 
 
 # -- the kernels against the operator fold --------------------------------------
@@ -425,6 +491,11 @@ def _mixed_entry(rng):
     return rng.choice((_fraction_entry, _poly_entry))(rng)
 
 
+def _sparse_fraction_entry(rng):
+    # mostly zero: leading minors vanish and elimination meets zero columns
+    return Fraction(rng.choice((0, 0, 0, 1, -2)), rng.randrange(1, 4))
+
+
 # per ring: an entry and the diagonal entries of a unit and a non-unit triangle
 _KERNEL_RINGS = [
     (_int_entry, (1, -1), (2, -3)),
@@ -432,6 +503,7 @@ _KERNEL_RINGS = [
     (_poly_entry, (1, -1), (q, 2 + q)),
     (_qq_entry, (1, -1), (QRat.make(1, 1 + q), 1 - q)),
     (_mixed_entry, (1, -1), (Fraction(1, 2), 1 + q)),
+    (_sparse_fraction_entry, (1, Fraction(-1)), (Fraction(2, 3), Fraction(-5, 2))),
 ]
 
 
@@ -457,9 +529,10 @@ def test_kernels_match_the_operator_fold_random():
             ]
             got = hankel_transform(mu, n)
             assert got == dets
-            # a Fraction never demotes, so over a field the type of an
-            # integral determinant depends on the route; over Z[q] it cannot
-            if set(map(type, mu)) <= {int, QPoly}:
+            # a Fraction never demotes: the sweep and the elimination past
+            # a vanishing minor both divide back one way, so over Q every
+            # determinant is a Fraction, as over Z and Z[q] it is in the ring
+            if set(map(type, mu)) <= {int, QPoly} or set(map(type, mu)) == {Fraction}:
                 assert _typed([got]) == _typed([dets])
 
 
@@ -675,7 +748,7 @@ def test_hankel_sweep_matches_the_polynomial_loop_random(monkeypatch):
             ("monomial", _monomial_pivot_moments(rng, size)),
         ):
             widths.clear()
-            got = triangle._hankel_pivots(mu, set(map(type, mu)))
+            got = triangle._hankel_pivots(mu)
             want = _hankel_pivots_ref(mu)
             assert _typed(got) == _typed(want), mu
             if kind == "wide" and QPoly in set(map(type, mu)):
@@ -698,9 +771,10 @@ def _field_atom_moments(rng, size):
 
 
 def test_field_sweep_matches_the_polynomial_loop_random():
-    # field moments are cleared into the integer sweep and each pivot and
-    # next divided back by D^(k+1); at k = 0 an int may come back as a
-    # Fraction, so values and renderings are compared, not types
+    # hankel_transform grades field moments into the integer sweep and
+    # divides each pivot back; at k = 0 an int may come back as a
+    # Fraction, so values and renderings are compared, not types.  Field
+    # nexts are no output of any caller; the qd round trips cover them
     rng = random.Random(20261023)
     seen = {"fraction": 0, "qq": 0, "mixed": 0, "zero": 0}
     for _ in range(25):
@@ -714,11 +788,11 @@ def test_field_sweep_matches_the_polynomial_loop_random():
             types = set(map(type, mu))
             if types <= {int, QPoly}:
                 continue
-            got = triangle._hankel_pivots(mu, types)
-            want = _hankel_pivots_ref(mu)
+            want = _hankel_pivots_ref(mu)[0]
+            got = hankel_transform(mu, (size + 1) // 2)[: len(want)]
             assert got == want, mu
-            assert [list(map(render, vs)) for vs in got] == [list(map(render, vs)) for vs in want]
-            seen[kind] += kind != "zero" or (len(want[0]) > 1 and want[0][-1] == 0)
+            assert list(map(render, got)) == list(map(render, want))
+            seen[kind] += kind != "zero" or (len(want) > 1 and want[-1] == 0)
     assert min(seen.values()) >= 10, seen
 
 
@@ -765,7 +839,7 @@ def test_an_inexact_sweep_step_raises(monkeypatch, mu):
     assert _hankel_pivots_ref(mu)
     bumped = _off_by_one_in_one_step(monkeypatch)
     with pytest.raises(ExactDivisionError):
-        triangle._hankel_pivots(mu, set(map(type, mu)))
+        triangle._hankel_pivots(mu)
     assert bumped
 
 
@@ -780,7 +854,7 @@ def test_a_sweep_failing_every_check_stops_at_the_widest_slots(monkeypatch):
 
     monkeypatch.setattr(triangle, "_int_sweep", failing)
     with pytest.raises(ExactDivisionError):
-        triangle._hankel_pivots(mu, set(map(type, mu)))
+        triangle._hankel_pivots(mu)
     cap = triangle._widest_slots(mu)
     assert cap > 1 and tried == [2**i for i in range(len(tried))]
     assert tried[-2] < cap <= tried[-1]
