@@ -139,6 +139,15 @@ def moments_from_sfraction(s: SFractionCoeffs, count: int):
     field = not _in_zq(a)
     if field:
         D, a = _cleared(a)
+    mu = _dyck_sweep(a, count)
+    if field:
+        return mu[:1] + [_peel(mu[k], D, k) for k in range(1, count)]
+    return mu
+
+
+def _dyck_sweep(a, count):
+    """mu_0 .. mu_{count-1} of the int or QPoly terms a, at least count - 1
+    of them: the sweep of ``moments_from_sfraction``."""
     steps = 2 * (count - 1)
     # w[h]: weight of the paths of the current length ending at height h.
     # A step only writes heights of its own parity and reads the other
@@ -155,8 +164,6 @@ def moments_from_sfraction(s: SFractionCoeffs, count: int):
                 w[h] = w[h - 1]
         if t % 2 == 0:
             mu.append(w[0])
-    if field:
-        return mu[:1] + [_peel(mu[k], D, k) for k in range(1, count)]
     return mu
 
 

@@ -11,8 +11,9 @@ The rows of the inverses of the two triangles are the polynomials of the
 two continued fractions, so the inverse of the first, the product and
 the product's inverse each come from a three-term row recurrence in
 O(n^2) ring operations, with no triangle inverted or multiplied.  Over
-Z[q] the constructions run on Kronecker-packed ints, with slots as wide
-as the same recurrences on the terms' l1 norms require.
+Z[q] the Hankel gate and the constructions run on Kronecker-packed ints,
+with slots as wide as the same sweeps and recurrences on the terms' l1
+norms require.
 
 ``verify_example`` replays a named example against frozen reference
 values and live structural identities, reporting pass, fail, or
@@ -30,6 +31,7 @@ from .cfrac import (
     InsufficientCoefficients,
     JFractionCoeffs,
     SFractionCoeffs,
+    _dyck_sweep,
     hankel_from_sfraction,
     moments_from_jfraction,
     moments_from_sfraction,
@@ -294,15 +296,17 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
     with the generic kernels (``specializes-symbolic-product``,
     ``flag-triangle-production``).
 
-    Z[q] terms with a QPoly among them pass the gate above in Z[q]; every
-    construction after it runs on the terms' images under the ring
-    homomorphism phi: q -> 2^(64m), whose divisions are exact in Z[q], so
-    the int run computes the images of the true entries.  ``_slot_count``
-    picks m so that each returned entry unpacks exactly
-    (``ring._zq_unpack``).  The second routes to N and M and the C^-1·C
-    row are compared on images: a disagreement goes unseen only if it is
-    a nonzero multiple of q - 2^(64m), which has a coefficient of at least
-    2^(64m).
+    Z[q] terms with a QPoly among them run on their images under the ring
+    homomorphism phi: q -> 2^(64m), gate included: the product formula
+    multiplies the packed terms, and the moments, found in Z[q], are
+    packed for one integer sweep, which returns phi(det H).  Every
+    division of the constructions is exact in Z[q], so the int run
+    computes the images of the true entries.  ``_slot_count`` picks m so
+    that each returned entry unpacks exactly (``ring._zq_unpack``) and
+    every moment and h_k of the gate fits its slots.  The two routes to
+    h_{n-1}, the second routes to N and M and the C^-1·C row are compared
+    on images: a disagreement goes unseen only if it is a nonzero
+    multiple of q - 2^(64m), which has a coefficient of at least 2^(64m).
 
     Field input (a Fraction or QRat among the 2n terms) runs over Z or
     Z[q]: every output is homogeneous in the a_i (Flajolet 1980), so the
@@ -351,19 +355,20 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
 def _compare_ring(a: SFractionCoeffs, n: int) -> ComparisonResult:
     """``compare`` after its precondition checks, in the ring of the
     terms; a_1 is not checked, so a scaled b_1 = D passes."""
-    h = hankel_from_sfraction(a, n)
-    if 0 in h:
-        raise CatalanLikenessError(h.index(0))
-    mu_long = moments_from_sfraction(a, 2 * n - 1)
-    if hankel_det(mu_long, n - 1) != h[-1]:
-        raise ArithmeticError(
-            f"compare at size {n}: internal disagreement between the determinant "
-            f"and product routes for h_{n - 1}"
-        )
     terms = a.terms[: 2 * n]
     types = set(map(type, terms))
     m = _slot_count(terms, n) if QPoly in types and types <= _ZQ_TYPES else 0
     s = SFractionCoeffs([_zq_pack(t, m) for t in terms]) if m else a
+    # a nonzero term that fits its slots has a nonzero image
+    h = hankel_from_sfraction(s, n)
+    if 0 in h:
+        raise CatalanLikenessError(h.index(0))
+    mu_long = moments_from_sfraction(a, 2 * n - 1)
+    if hankel_det([_zq_pack(v, m) for v in mu_long] if m else mu_long, n - 1) != h[-1]:
+        raise ArithmeticError(
+            f"compare at size {n}: internal disagreement between the determinant "
+            f"and product routes for h_{n - 1}"
+        )
     N, prodN = build_N_via_behead(s, n)
     N_again = build_N_via_rescale(s, n)
     M, prodM = build_M(s, n)
@@ -398,13 +403,20 @@ def _compare_ring(a: SFractionCoeffs, n: int) -> ComparisonResult:
 
 def _slot_count(terms, n):
     """The smallest m for which every entry ``_compare_ring`` returns from
-    the Z[q] terms has l1 norm below 2^(64m-1), so that its image under
+    the Z[q] terms, and every mu_0 .. mu_{2n-2} and h_0 .. h_{n-1} of its
+    Hankel gate, has l1 norm below 2^(64m-1), so that its image under
     q -> 2^(64m) unpacks exactly.  l1 is subadditive and submultiplicative,
-    so the constructions' own recurrences, run on the terms' norms with
-    every subtraction made an addition, bound each entry they build; an
-    entry of ``prodCinv`` sums at most n products of an entry of C and one
-    of C^-1.  The packed terms count too."""
+    so the gate's two sweeps and the constructions' own recurrences, run on
+    the terms' norms with every subtraction made an addition, bound each
+    value they build; an entry of ``prodCinv`` sums at most n products of
+    an entry of C and one of C^-1.  The packed terms count too."""
     al = [sum(map(abs, _zq_coeffs(t))) for t in terms]
+    top = max(_dyck_sweep(al, 2 * n - 1))
+    p = h = 1
+    for k in range(n - 1):
+        p *= al[2 * k] * al[2 * k + 1]
+        h *= p
+        top = max(top, h)
     N, P_N = _behead_rows(al, n)
     b = [al[0]] + [al[2 * i - 1] + al[2 * i] for i in range(1, n - 1)]
     lam = [al[2 * i - 2] * al[2 * i - 1] for i in range(1, n - 1)]
@@ -417,7 +429,7 @@ def _slot_count(terms, n):
     Ninv = _s_polynomial_rows(neg, n, _shift)
     C = _s_polynomial_rows(neg, n, times_M)
     Cinv = _j_polynomial_rows([-v for v in b], [-v for v in lam], n, partial(_times_behead, al))
-    top = max([max(r) for rows in (N, P_N, M, P_M.rows, Ninv, C, [al]) for r in rows])
+    top = max([top] + [max(r) for rows in (N, P_N, M, P_M.rows, Ninv, C, [al]) for r in rows])
     top = max(top, n * max(map(max, C)) * max(map(max, Cinv)))
     return _zq_width(top)
 

@@ -93,6 +93,10 @@ NONZERO = {
     "qpoly": lambda rng: (
         rng.choice([1, 2]) * q ** rng.randrange(3) + rng.choice([0, 1])
     ),
+    # compare zero-tests the packed terms: 2^70 coefficients take m >= 2
+    "qpoly-wide": lambda rng: (
+        rng.choice([-3, 1]) * q ** rng.randrange(3) + rng.choice([0, 2**70 - 1])
+    ),
 }
 
 

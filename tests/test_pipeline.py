@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from functools import partial
@@ -9,7 +10,9 @@ from cfmoments.cfrac import (
     InsufficientCoefficients,
     JFractionCoeffs,
     SFractionCoeffs,
+    hankel_from_sfraction,
     moments_from_jfraction,
+    moments_from_sfraction,
     s_to_j,
 )
 from cfmoments.pipeline import (
@@ -550,6 +553,110 @@ def test_int_and_fraction_compares_never_pack(monkeypatch):
         del packed[:]
         assert all(ok for _, ok in compare(a, 4).diagnostics)
         assert "cfmoments.pipeline" in packed
+
+
+def test_zq_compare_gate_sweeps_packed_ints_once(monkeypatch):
+    # the gate's moments are packed at compare's own m, so the sweep runs
+    # once on ints: no slot-checked pass and no rerun at wider slots
+    widths = []
+    real = triangle._int_sweep
+
+    def spy(nu, m):
+        widths.append(m)
+        return real(nu, m)
+
+    monkeypatch.setattr(triangle, "_int_sweep", spy)
+    huge = QPoly.make([3, -(2**70), 2**70])
+    for a, n in (
+        (q_powers(14), 7),
+        (SFractionCoeffs([1] + [QRat.make(1 + q, 1 + 2 * q), QRat.make(2 - q, 3)] * 4), 4),
+        (SFractionCoeffs([1, huge, q, 1 - huge, huge, 2 * q**3, huge, 1 + q, huge, q]), 5),
+    ):
+        del widths[:]
+        assert all(ok for _, ok in compare(a, n).diagnostics)
+        assert widths == [0]
+
+
+def test_zq_compare_gate_catches_a_wrong_moment(monkeypatch):
+    # mu_{2n-2} enters only h_{n-1}; its image must still disagree
+    real = pipeline.moments_from_sfraction
+
+    def off_by_q(a, count):
+        mu = real(a, count)
+        mu[-1] = mu[-1] + q
+        return mu
+
+    monkeypatch.setattr(pipeline, "moments_from_sfraction", off_by_q)
+    huge = QPoly.make([1, 2**70])
+    for a, n in ((q_powers(12), 6), (SFractionCoeffs([1, huge, q, huge, 1 - q, huge, q, 3]), 4)):
+        with pytest.raises(ArithmeticError) as e:
+            compare(a, n)
+        assert str(e.value) == (
+            f"compare at size {n}: internal disagreement between the determinant "
+            f"and product routes for h_{n - 1}"
+        )
+
+
+def test_zq_slot_width_bounds_the_hankel_gate_random():
+    # the gate packs mu_0 .. mu_{2n-2} and multiplies the packed terms into
+    # h_0 .. h_{n-1}: each has l1 norm, so every coefficient, below 2^(64m-1)
+    rng = random.Random(20261021)
+    kinds = ("signed", "huge", "monomial", "int")
+    for i in range(90):
+        n = 2 + i % 6
+        terms = [1] + [_packed_term(rng, rng.choice(kinds)) for _ in range(2 * n - 1)]
+        if i % 3 == 0:
+            terms[rng.randrange(1, 2 * n)] = 0
+        a = SFractionCoeffs(terms)
+        m = pipeline._slot_count(a.terms, n)
+        values = moments_from_sfraction(a, 2 * n - 1) + hankel_from_sfraction(a, n)
+        assert max(map(_l1, values)) < 2 ** (64 * m - 1), (a, n, m)
+
+
+# --- one digest over a seeded corpus of compares ---
+#
+# Results and refusals of about 200 compares over every scalar ring, frozen
+# as one sha256: a change meant to keep compare's output must keep it.
+
+_COMPARE_DIGEST = "92a32fa8b6e77e825ae19fe27491f24d64f644e053f6a206a4333dd1b2cb3e89"
+_CORPUS_KINDS = ("int", "fraction", "signed", "huge", "monomial", "qrat", "mixed")
+
+
+def _corpus_term(rng, kind):
+    if kind == "fraction":
+        return Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randrange(1, 5))
+    if kind == "qrat":
+        num = QPoly.make([rng.choice((-2, 1, 3)), rng.randrange(-2, 3), rng.randrange(0, 2)])
+        return QRat.make(num, QPoly.make([rng.randrange(1, 4), rng.choice((-1, 1, 2))]))
+    return _packed_term(rng, kind)
+
+
+def _compare_corpus(seed, count):
+    """(a, n) pairs, n = 2..6, one kind of term per pair in turn (2^70
+    coefficients and Q(q) at n <= 5), every fourth with a zero term."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = _CORPUS_KINDS[i % len(_CORPUS_KINDS)]
+        n = rng.randrange(2, 6 if kind in ("huge", "qrat", "mixed") else 7)
+        pick = _CORPUS_KINDS[:-1] if kind == "mixed" else (kind,)
+        terms = [_corpus_term(rng, rng.choice(pick)) for _ in range(2 * n - 1)]
+        if i % 4 == 3:
+            terms[rng.randrange(2 * n - 1)] = 0
+        yield SFractionCoeffs([1] + terms), n
+
+
+def test_compare_corpus_matches_its_frozen_digest():
+    digest = hashlib.sha256()
+    refused = 0
+    for a, n in _compare_corpus(20261020, 210):
+        try:
+            got = repr(compare(a, n))
+        except ArithmeticError as e:
+            got = f"{type(e).__name__}: {e}"
+            refused += 1
+        digest.update(got.encode() + b"\n")
+    assert refused == 32
+    assert digest.hexdigest() == _COMPARE_DIGEST
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])

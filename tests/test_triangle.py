@@ -645,20 +645,17 @@ def _stack_spies(monkeypatch, kernel_fns):
 
 
 def test_zq_compare_kernels_make_no_qpoly_product_or_sum(monkeypatch):
-    # past the Hankel gate every construction runs on the terms' images
-    # under q -> 2^(64m), and the sweep of the gate runs on packed ints:
-    # QPoly products and sums are made only by the moment and product
-    # formulas of the gate, and nothing divides in Z[q]
+    # the Hankel gate's product formula and sweep and every construction
+    # run on the terms' images under q -> 2^(64m): QPoly products and sums
+    # are made only by the moment sweep, the exact route to mu, and
+    # nothing divides in Z[q]
     a = SFractionCoeffs([1, q, 1 + q, q**2, q + q**2, q**3, 1 + q, q, q**2, 1 + q, q**3, q])
     calls = _stack_spies(monkeypatch, (moments_from_sfraction, hankel_from_sfraction))
     r = compare(a, 6)
     assert all(ok for _, ok in r.diagnostics)
     assert any(type(v) is QPoly for row in r.C.rows for v in row)
     assert {c for c in calls if c[0] is None and c[1] in ("mul", "add")} == set()
-    assert {c[0] for c in calls if c[1] in ("mul", "add")} == {
-        "moments_from_sfraction",
-        "hankel_from_sfraction",
-    }
+    assert {c[0] for c in calls if c[1] in ("mul", "add")} == {"moments_from_sfraction"}
     assert (None, "exact_div") in calls
     assert [c for c in calls if c[1] == "_zq_exact_div"] == []
 
