@@ -12,8 +12,8 @@ two continued fractions, so the inverse of the first, the product and
 the product's inverse each come from a three-term row recurrence in
 O(n^2) ring operations, with no triangle inverted or multiplied.  Over
 Z[q] the Hankel gate and the constructions run on Kronecker-packed ints,
-with slots as wide as the same sweeps and recurrences on the terms' l1
-norms require.
+at q -> 2^(32m) with slots of m 32-bit units (``ring._ZQ_BITS``), as
+wide as the same sweeps and recurrences on the terms' l1 norms require.
 
 ``verify_example`` replays a named example against frozen reference
 values and live structural identities, reporting pass, fail, or
@@ -296,17 +296,25 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
     with the generic kernels (``specializes-symbolic-product``,
     ``flag-triangle-production``).
 
+    A zero among a_1 .. a_{2n-2} is refused first, from the product
+    formula on the terms themselves: Z and Z[q] are integral domains, so
+    h_k vanishes only where one of its factors does, and no other input
+    fails the gate's zero test.
+
     Z[q] terms with a QPoly among them run on their images under the ring
-    homomorphism phi: q -> 2^(64m), gate included: the product formula
-    multiplies the packed terms, and the moments, found in Z[q], are
-    packed for one integer sweep, which returns phi(det H).  Every
-    division of the constructions is exact in Z[q], so the int run
-    computes the images of the true entries.  ``_slot_count`` picks m so
-    that each returned entry unpacks exactly (``ring._zq_unpack``) and
-    every moment and h_k of the gate fits its slots.  The two routes to
-    h_{n-1}, the second routes to N and M and the C^-1·C row are compared
-    on images: a disagreement goes unseen only if it is a nonzero
-    multiple of q - 2^(64m), which has a coefficient of at least 2^(64m).
+    homomorphism phi: q -> 2^(32m), gate included: the product formula
+    and the Dyck sweep of mu_0 .. mu_{2n-2} run on the packed terms, and
+    one integer sweep of those images returns phi(det H).  The returned
+    mu_0 .. mu_{n-1} come from the Dyck sweep in Z[q], the one route to
+    them that never packs, and the first-column diagnostics compare them
+    with the unpacked N and M.  Every division of the constructions is
+    exact in Z[q], so the int run computes the images of the true
+    entries.  ``_slot_count`` picks m so that each returned entry unpacks
+    exactly (``ring._zq_unpack``) and every moment and h_k of the gate
+    fits its slots.  The two routes to h_{n-1}, the second routes to N
+    and M and the C^-1·C row are compared on images: a disagreement goes
+    unseen only if it is a nonzero multiple of q - 2^(32m), which has a
+    coefficient of at least 2^(32m).
 
     Field input (a Fraction or QRat among the 2n terms) runs over Z or
     Z[q]: every output is homogeneous in the a_i (Flajolet 1980), so the
@@ -356,15 +364,18 @@ def _compare_ring(a: SFractionCoeffs, n: int) -> ComparisonResult:
     """``compare`` after its precondition checks, in the ring of the
     terms; a_1 is not checked, so a scaled b_1 = D passes."""
     terms = a.terms[: 2 * n]
+    if 0 in terms[: 2 * n - 2]:
+        # in an integral domain h_k vanishes only where a term it multiplies does
+        h = hankel_from_sfraction(a, n)
+        raise CatalanLikenessError(h.index(0))
     types = set(map(type, terms))
     m = _slot_count(terms, n) if QPoly in types and types <= _ZQ_TYPES else 0
     s = SFractionCoeffs([_zq_pack(t, m) for t in terms]) if m else a
-    # a nonzero term that fits its slots has a nonzero image
     h = hankel_from_sfraction(s, n)
-    if 0 in h:
-        raise CatalanLikenessError(h.index(0))
-    mu_long = moments_from_sfraction(a, 2 * n - 1)
-    if hankel_det([_zq_pack(v, m) for v in mu_long] if m else mu_long, n - 1) != h[-1]:
+    # phi is a ring homomorphism: the sweep of the packed terms gives the
+    # images of the moments, whatever their size
+    mu_long = moments_from_sfraction(s, 2 * n - 1)
+    if hankel_det(mu_long, n - 1) != h[-1]:
         raise ArithmeticError(
             f"compare at size {n}: internal disagreement between the determinant "
             f"and product routes for h_{n - 1}"
@@ -390,7 +401,7 @@ def _compare_ring(a: SFractionCoeffs, n: int) -> ComparisonResult:
             type(t)([[_zq_unpack(v, m) for v in r] for r in t.rows])
             for t in (N, M, Ninv, C, prodN, prodM, prodCinv)
         )
-    mu = mu_long[:n]
+    mu = moments_from_sfraction(a, n) if m else mu_long[:n]
     diagnostics = [
         ("construction-route-agreement", routes_agree),
         ("first-column-of-first-matrix-is-moments", list(N.column(0)) == mu),
@@ -404,12 +415,15 @@ def _compare_ring(a: SFractionCoeffs, n: int) -> ComparisonResult:
 def _slot_count(terms, n):
     """The smallest m for which every entry ``_compare_ring`` returns from
     the Z[q] terms, and every mu_0 .. mu_{2n-2} and h_0 .. h_{n-1} of its
-    Hankel gate, has l1 norm below 2^(64m-1), so that its image under
-    q -> 2^(64m) unpacks exactly.  l1 is subadditive and submultiplicative,
-    so the gate's two sweeps and the constructions' own recurrences, run on
-    the terms' norms with every subtraction made an addition, bound each
-    value they build; an entry of ``prodCinv`` sums at most n products of
-    an entry of C and one of C^-1.  The packed terms count too."""
+    Hankel gate, has l1 norm below 2^(32m-1), so that its image under
+    q -> 2^(32m), m units of ``ring._ZQ_BITS`` bits a slot, unpacks
+    exactly.  The gate unpacks nothing, but its check is sound only for
+    values that fit: two whose images agree are then equal.  l1 is
+    subadditive and submultiplicative, so the gate's two sweeps and the
+    constructions' own recurrences, run on the terms' norms with every
+    subtraction made an addition, bound each value they build; an entry
+    of ``prodCinv`` sums at most n products of an entry of C and one of
+    C^-1.  The packed terms count too."""
     al = [sum(map(abs, _zq_coeffs(t))) for t in terms]
     top = max(_dyck_sweep(al, 2 * n - 1))
     p = h = 1

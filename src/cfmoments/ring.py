@@ -22,8 +22,9 @@ long-divides, which for a constant is one divmod per coefficient.
 
 The Z[q] Hankel sweep and the Z[q] constructions of ``compare`` run on
 integers (Kronecker substitution): ``_zq_pack`` maps a value to its
-image under q -> 2^(64m), one coefficient per slot of 64m bits laid out
-through ``array('q')`` and ``int.from_bytes``, and ``_zq_slots`` and
+image under q -> 2^(32m), one coefficient per slot of m units of
+``_ZQ_BITS`` = 32 bits, laid out through ``array('i')`` at m = 1,
+``array('q')`` at m = 2 and ``int.from_bytes``, and ``_zq_slots`` and
 ``_zq_unpack`` read the coefficients back the same way.  All three are
 linear in the number of coefficients.
 
@@ -488,68 +489,77 @@ def _check_scalars(values, what):
     return types
 
 
-# array('q') holds its items in native byte order; the packed integers
-# are read and written little-endian
+# The slot unit: a packed value holds one coefficient per slot of m units
+# of _ZQ_BITS bits, its image under q -> 2^(_ZQ_BITS·m)
+_ZQ_BITS = 32
+# array typecodes by the slot count m whose slots their items fill
+_ZQ_ARRAY_CODES = {8 * array(c).itemsize // _ZQ_BITS: c for c in "iq"}
+# arrays hold their items in native byte order; the packed integers are
+# read and written little-endian
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _zq_width(x):
-    """The fewest 64-bit slots m with 0 <= x < 2^(64m-1): a slot of 64m
-    bits holds every coefficient of magnitude at most x."""
-    return x.bit_length() // 64 + 1
+    """The fewest slot units m with 0 <= x < 2^(32m-1): a slot of 32m bits
+    holds every coefficient of magnitude at most x."""
+    return x.bit_length() // _ZQ_BITS + 1
 
 
 @lru_cache(maxsize=256)
 def _zq_bias(n, m):
-    """The integer whose n slots of 64m bits each hold 2^(64m-1)."""
-    return int.from_bytes((1 << (64 * m - 1)).to_bytes(8 * m, "little") * n, "little")
+    """The integer whose n slots of 32m bits each hold 2^(32m-1)."""
+    w = _ZQ_BITS * m
+    return int.from_bytes((1 << (w - 1)).to_bytes(w // 8, "little") * n, "little")
 
 
 def _zq_pack(x, m):
-    """Image of an int or QPoly under q -> 2^(64m), for coefficients that
-    fit a slot of 64m bits, -2^(64m-1) <= c < 2^(64m-1); OverflowError
+    """Image of an int or QPoly under q -> 2^(32m), for coefficients that
+    fit a slot of 32m bits, -2^(32m-1) <= c < 2^(32m-1); OverflowError
     otherwise.  The coefficients are laid out in two's complement, one per
     slot, and read as one integer y.  Flipping every slot's top bit
-    (XOR with the bias B) biases each c to c + 2^(64m-1) >= 0, and
+    (XOR with the bias B) biases each c to c + 2^(32m-1) >= 0, and
     subtracting B takes the bias off all slots at once."""
     if type(x) is int:
-        if x.bit_length() >= 64 * m and x != -1 << (64 * m - 1):
+        if x.bit_length() >= _ZQ_BITS * m and x != -1 << (_ZQ_BITS * m - 1):
             raise OverflowError("coefficient does not fit a slot")
         return x
     cs = x.coeffs
-    if m == 1:
-        slots = array("q", cs)
+    code = _ZQ_ARRAY_CODES.get(m)
+    if code:
+        slots = array(code, cs)
         if _BIG_ENDIAN:
             slots.byteswap()
         raw = slots.tobytes()
     else:
-        raw = b"".join([c.to_bytes(8 * m, "little", signed=True) for c in cs])
+        w = _ZQ_BITS // 8 * m
+        raw = b"".join([c.to_bytes(w, "little", signed=True) for c in cs])
     bias = _zq_bias(len(cs), m)
     return (int.from_bytes(raw, "little") ^ bias) - bias
 
 
 def _zq_slots(x, m):
     """The coefficients c_i, lowest first, of the one expansion
-    x = Σ c_i·2^(64m·i) with every c_i in [-2^(64m-1), 2^(64m-1)): the
-    steps of ``_zq_pack`` backwards.  The last may be a zero.  For m = 1 an
-    ``array('q')`` filled from the bytes in C."""
-    n = (x.bit_length() + 1) // (64 * m) + 1
+    x = Σ c_i·2^(32m·i) with every c_i in [-2^(32m-1), 2^(32m-1)): the
+    steps of ``_zq_pack`` backwards.  The last may be a zero.  For m = 1
+    and m = 2 an ``array`` filled from the bytes in C."""
+    n = (x.bit_length() + 1) // (_ZQ_BITS * m) + 1
+    w = _ZQ_BITS // 8 * m
     bias = _zq_bias(n, m)
-    raw = ((x + bias) ^ bias).to_bytes(8 * m * n, "little")
-    if m == 1:
-        slots = array("q")
+    raw = ((x + bias) ^ bias).to_bytes(w * n, "little")
+    code = _ZQ_ARRAY_CODES.get(m)
+    if code:
+        slots = array(code)
         slots.frombytes(raw)
         if _BIG_ENDIAN:
             slots.byteswap()
         return slots
-    w = 8 * m
     return [int.from_bytes(raw[i : i + w], "little", signed=True) for i in range(0, len(raw), w)]
 
 
 def _zq_unpack(x, m):
-    """The int or QPoly whose image under q -> 2^(64m) is x, among those
+    """The int or QPoly whose image under q -> 2^(32m) is x, among those
     whose coefficients all fit a slot (there is exactly one)."""
-    if x.bit_length() < 64 * m:
+    if x.bit_length() < _ZQ_BITS * m:
         return x
     return QPoly._from_ints(list(_zq_slots(x, m)))
 

@@ -13,10 +13,11 @@ the index-by-index fold ``s = s + x*y``; over Z and Z[q] it skips zero
 terms, over the fraction field it keeps them.  The Hankel sweep and
 its Bareiss fallback take ints and QPolys only; hankel_transform grades
 field moments into Z or Z[q] and divides each determinant back.  The
-sweep runs on Python ints: Z[q] moments are packed at q -> 2^(64m)
-(Kronecker substitution), every quotient is checked from its slots of
-64m bits, and the sweep starts at the moments' own width and reruns
-with m doubled when a check fails.
+sweep runs on Python ints: Z[q] moments are packed at q -> 2^(32m)
+(Kronecker substitution, in slots of m units of ``ring._ZQ_BITS`` = 32
+bits), every quotient is checked from its slots of 32m bits, and the
+sweep starts at the moments' own width and reruns with m doubled when a
+check fails.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 
 from .ring import (
+    _ZQ_BITS,
     _ZQ_TYPES,
     ExactDivisionError,
     QPoly,
@@ -271,7 +273,7 @@ def _hankel_pivots(mu):
     O(len(mu)^2) ring operations.
 
     The sweep runs on ints (``_int_sweep``): Z[q] moments are packed at
-    q -> 2^(64m) and the pivots and nexts unpacked at the end.  It starts
+    q -> 2^(32m) and the pivots and nexts unpacked at the end.  It starts
     at the narrowest m that the moments' largest coefficient fits and,
     when a quotient fails its slot check, reruns with slots twice as wide.
     """
@@ -295,15 +297,15 @@ def _int_sweep(nu, m):
     ExactDivisionError.
 
     m = 0: nu are integer moments.  m >= 1: nu are the images of Z[q]
-    moments under phi: q -> 2^(64m), a ring homomorphism, so an exact Z[q]
+    moments under phi: q -> 2^(32m), a ring homomorphism, so an exact Z[q]
     quotient is an exact integer quotient.  A zero remainder is not proof
     by itself, so each quotient z of a numerator x by the pivot hp is
     checked from its slots: x's coefficients, bounded from its operands'
     norms and lengths, and those of hp·z, bounded by len(hp)·|hp|·|z|, all
     fit a slot.  Then hp·z and x are the same polynomial, as their images
     agree.  Returns None on a failed check.  A pivot c·q^s has the image
-    c·2^(64ms), so a product with it is one multiplication by c and one
-    shift, and a division by it checks that the low 64ms bits are zero,
+    c·2^(32ms), so a product with it is one multiplication by c and one
+    shift, and a division by it checks that the low 32ms bits are zero,
     shifts them off and divides by c.
     """
     size = len(nu)
@@ -311,7 +313,7 @@ def _int_sweep(nu, m):
     hs = shift = low = 0
     hp = 1
     if m:
-        w = 64 * m
+        w = _ZQ_BITS * m
         lim = 1 << (w - 1)
 
         def norm(x):
@@ -335,8 +337,8 @@ def _int_sweep(nu, m):
         hd = h
         if m:
             # h = hd << hs: h is the image of q^s·g with g(0) != 0, and
-            # 0 < |g(0)| <= 2^(64m-1) ends in fewer than 64m zero bits, so
-            # hs = 64m·s and hd is the image of g
+            # 0 < |g(0)| <= 2^(32m-1) ends in fewer than 32m zero bits, so
+            # hs = 32m·s and hd is the image of g
             v = (h & -h).bit_length() - 1
             hs = v - v % w
             hd = h >> hs

@@ -33,7 +33,7 @@ from cfmoments.pipeline import (
     qcase_factorization_check,
     verify_example,
 )
-from cfmoments.ring import QPoly, QRat, eval_q, q, render
+from cfmoments.ring import _ZQ_BITS, QPoly, QRat, eval_q, q, render
 from cfmoments.series import RiordanPair, TruncatedSeries, catalan_series, riordan_matrix
 from cfmoments.triangle import (
     ProductionMatrix,
@@ -479,7 +479,7 @@ def _l1(v):
 
 def test_zq_compare_slot_width_bounds_every_returned_entry_random(monkeypatch):
     # the majorant's m reads every returned entry back from its image:
-    # each has l1 norm below 2^(64m-1), and the 2^70 coefficients need m >= 2
+    # each has l1 norm below 2^(32m-1), and the 2^70 coefficients need m >= 3
     widths = []
     real = pipeline._slot_count
 
@@ -495,9 +495,9 @@ def test_zq_compare_slot_width_bounds_every_returned_entry_random(monkeypatch):
         (m,) = widths
         for name in _RESULT_PARTS[1:]:
             top = max(_l1(v) for row in getattr(r, name).rows for v in row)
-            assert top < 2 ** (64 * m - 1), (name, a, n, m)
+            assert top < 2 ** (_ZQ_BITS * m - 1), (name, a, n, m)
         if any(type(t) is QPoly and max(map(abs, t.coeffs)) >= 2**70 for t in a.terms[: 2 * n]):
-            assert m >= 2
+            assert m >= 3
     assert widths
 
 
@@ -555,8 +555,18 @@ def test_int_and_fraction_compares_never_pack(monkeypatch):
         assert "cfmoments.pipeline" in packed
 
 
+def _gate_inputs():
+    """Z[q], Q(q) and 2^70-sized Z[q] compares."""
+    huge = QPoly.make([3, -(2**70), 2**70])
+    return (
+        (q_powers(14), 7),
+        (SFractionCoeffs([1] + [QRat.make(1 + q, 1 + 2 * q), QRat.make(2 - q, 3)] * 4), 4),
+        (SFractionCoeffs([1, huge, q, 1 - huge, huge, 2 * q**3, huge, 1 + q, huge, q]), 5),
+    )
+
+
 def test_zq_compare_gate_sweeps_packed_ints_once(monkeypatch):
-    # the gate's moments are packed at compare's own m, so the sweep runs
+    # the gate's moments are images at compare's own m, so the sweep runs
     # once on ints: no slot-checked pass and no rerun at wider slots
     widths = []
     real = triangle._int_sweep
@@ -566,27 +576,53 @@ def test_zq_compare_gate_sweeps_packed_ints_once(monkeypatch):
         return real(nu, m)
 
     monkeypatch.setattr(triangle, "_int_sweep", spy)
-    huge = QPoly.make([3, -(2**70), 2**70])
-    for a, n in (
-        (q_powers(14), 7),
-        (SFractionCoeffs([1] + [QRat.make(1 + q, 1 + 2 * q), QRat.make(2 - q, 3)] * 4), 4),
-        (SFractionCoeffs([1, huge, q, 1 - huge, huge, 2 * q**3, huge, 1 + q, huge, q]), 5),
-    ):
+    for a, n in _gate_inputs():
         del widths[:]
         assert all(ok for _, ok in compare(a, n).diagnostics)
         assert widths == [0]
 
 
-def test_zq_compare_gate_catches_a_wrong_moment(monkeypatch):
-    # mu_{2n-2} enters only h_{n-1}; its image must still disagree
+def test_zq_compare_moments_come_from_the_packed_terms_and_the_qpoly_terms(monkeypatch):
+    # the gate's mu_0 .. mu_{2n-2} from one Dyck sweep of the int images,
+    # the returned mu_0 .. mu_{n-1} from one of the QPoly terms
+    calls = []
     real = pipeline.moments_from_sfraction
 
-    def off_by_q(a, count):
+    def spy(a, count):
+        calls.append((frozenset(map(type, a.terms)), count))
+        return real(a, count)
+
+    monkeypatch.setattr(pipeline, "moments_from_sfraction", spy)
+    for a, n in _gate_inputs():
+        del calls[:]
+        assert all(ok for _, ok in compare(a, n).diagnostics)
+        (gate, gate_count), (terms, count) = calls
+        assert gate == {int} and gate_count == 2 * n - 1, calls
+        assert QPoly in terms and count == n, calls
+    del calls[:]
+    compare(alternating(16), 8)
+    assert calls == [({int}, 15)]
+
+
+def test_zq_compare_gate_catches_a_wrong_moment(monkeypatch):
+    # mu_{2n-2} enters only h_{n-1}; its image must still disagree.  The
+    # plant adds 1, so the gate's moments stay int images and the sweep
+    # runs on them at m = 0, as it does unplanted
+    real = pipeline.moments_from_sfraction
+    widths = []
+    real_sweep = triangle._int_sweep
+
+    def off_by_one(a, count):
         mu = real(a, count)
-        mu[-1] = mu[-1] + q
+        mu[-1] = mu[-1] + 1
         return mu
 
-    monkeypatch.setattr(pipeline, "moments_from_sfraction", off_by_q)
+    def sweep(nu, m):
+        widths.append(m)
+        return real_sweep(nu, m)
+
+    monkeypatch.setattr(pipeline, "moments_from_sfraction", off_by_one)
+    monkeypatch.setattr(triangle, "_int_sweep", sweep)
     huge = QPoly.make([1, 2**70])
     for a, n in ((q_powers(12), 6), (SFractionCoeffs([1, huge, q, huge, 1 - q, huge, q, 3]), 4)):
         with pytest.raises(ArithmeticError) as e:
@@ -595,11 +631,37 @@ def test_zq_compare_gate_catches_a_wrong_moment(monkeypatch):
             f"compare at size {n}: internal disagreement between the determinant "
             f"and product routes for h_{n - 1}"
         )
+    assert widths == [0, 0]
+
+
+def test_zero_terms_are_refused_before_any_slot_count_or_packing(monkeypatch):
+    # Z[q] is an integral domain: the gate refuses exactly where a term among
+    # a_1 .. a_{2n-2} is zero, at the order the product formula names
+    def never(*args):
+        raise AssertionError("packed a refused input")
+
+    rng = random.Random(20261025)
+    cases = []
+    for i in range(40):
+        n = 2 + i % 6
+        kinds = ("signed", "huge", "monomial")
+        terms = [1] + [_packed_term(rng, rng.choice(kinds)) for _ in range(2 * n - 1)]
+        terms[rng.randrange(1, 2 * n - 2)] = 0
+        order = hankel_from_sfraction(SFractionCoeffs(terms), n).index(0)
+        cases.append((SFractionCoeffs(terms), n, order))
+    cases.append((SFractionCoeffs([1, q, 0] + [1 + q] * 13), 8, 2))
+    monkeypatch.setattr(pipeline, "_slot_count", never)
+    monkeypatch.setattr(pipeline, "_zq_pack", never)
+    for a, n, order in cases:
+        with pytest.raises(CatalanLikenessError) as e:
+            compare(a, n)
+        assert e.value.order == order, (a, n)
 
 
 def test_zq_slot_width_bounds_the_hankel_gate_random():
-    # the gate packs mu_0 .. mu_{2n-2} and multiplies the packed terms into
-    # h_0 .. h_{n-1}: each has l1 norm, so every coefficient, below 2^(64m-1)
+    # the gate sweeps the packed terms into mu_0 .. mu_{2n-2} and multiplies
+    # them into h_0 .. h_{n-1}: each has l1 norm, so every coefficient,
+    # below 2^(32m-1)
     rng = random.Random(20261021)
     kinds = ("signed", "huge", "monomial", "int")
     for i in range(90):
@@ -610,7 +672,7 @@ def test_zq_slot_width_bounds_the_hankel_gate_random():
         a = SFractionCoeffs(terms)
         m = pipeline._slot_count(a.terms, n)
         values = moments_from_sfraction(a, 2 * n - 1) + hankel_from_sfraction(a, n)
-        assert max(map(_l1, values)) < 2 ** (64 * m - 1), (a, n, m)
+        assert max(map(_l1, values)) < 2 ** (_ZQ_BITS * m - 1), (a, n, m)
 
 
 # --- one digest over a seeded corpus of compares ---

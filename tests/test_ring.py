@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -551,17 +552,27 @@ def test_qrat_power_skips_the_gcd_and_matches_make_random(monkeypatch):
     assert gcds == []
 
 
+def test_zq_slot_arrays_have_items_one_slot_wide():
+    # m = 1 and m = 2 go through an array whose items are one slot each;
+    # wider slots through the bytes loop
+    assert ring._ZQ_BITS == 32
+    assert sorted(ring._ZQ_ARRAY_CODES) == [1, 2]
+    for m, code in ring._ZQ_ARRAY_CODES.items():
+        assert 8 * array(code).itemsize == ring._ZQ_BITS * m
+
+
 def test_zq_pack_is_a_ring_homomorphism_and_unpack_inverts_it_random():
+    # edges of the 'i' (m = 1), 'q' (m = 2) and bytes (m = 3) layouts
     rng = random.Random(20261024)
     for m in (1, 2, 3):
-        half = 1 << (64 * m - 1)
+        half = 1 << (ring._ZQ_BITS * m - 1)
         for edge in (half - 1, -half, QPoly.make([-half, half - 1, -half])):
             assert _zq_unpack(_zq_pack(edge, m), m) == edge
         for bad in (half, -half - 1, QPoly.make([0, half])):
             with pytest.raises(OverflowError):
                 _zq_pack(bad, m)
         for _ in range(200):
-            bits = rng.choice((2, 30, 64 * m - 1))
+            bits = rng.choice((2, 30, ring._ZQ_BITS * m - 1))
             x, y = (
                 QPoly.make([rng.randrange(-(2**bits), 2**bits) for _ in range(rng.randrange(1, 9))])
                 for _ in range(2)
