@@ -22,24 +22,13 @@ import json
 import sys
 
 from .cfrac import (
-    InsufficientCoefficients,
-    QDBreakdownError,
     SFractionCoeffs,
     hankel_from_sfraction,
     moments_from_sfraction,
     qd_sfraction_from_moments,
 )
-from .pipeline import EXAMPLE_NAMES, CatalanLikenessError, compare, verify_example
-from .ring import (
-    DigitLimitError,
-    ExactDivisionError,
-    QPoly,
-    QRat,
-    ScalarParseError,
-    parse_scalar,
-    q,
-    render,
-)
+from .pipeline import EXAMPLE_NAMES, compare, verify_example
+from .ring import QPoly, QRat, ScalarParseError, parse_scalar, q, render
 from .series import RiordanPair, riordan_inverse, riordan_matrix, series_from_rational
 from .triangle import ProductionMatrix, Triangle, hankel_transform
 
@@ -273,10 +262,6 @@ class _UsageError(ValueError):
     pass
 
 
-class _PreconditionError(ValueError):
-    pass
-
-
 _WHAT_ORDER = ("N", "M", "C", "prodN", "prodM", "prodCinv")
 
 # Upper bounds on --size and --count, one per subcommand option.  The work
@@ -302,10 +287,7 @@ def _cmd_gen(args):
     _at_most("--size", args.size, _MAX_GEN_SIZE)
     if args.what == "all" and args.format == "csv":
         raise _UsageError("csv carries a single matrix; pick one with --what")
-    terms = parse_spec(args.spec).terms(2 * args.size)
-    if terms[0] != 1:
-        raise _PreconditionError("first coefficient must be 1")
-    r = compare(SFractionCoeffs(terms), args.size)
+    r = compare(SFractionCoeffs(parse_spec(args.spec).terms(2 * args.size)), args.size)
     parts = {name: getattr(r, name) for name in _WHAT_ORDER}
     if args.what != "all":
         return _format_matrix(parts[args.what], args.format), 0, None
@@ -362,10 +344,7 @@ def _cmd_hankel(args):
 
 def _cmd_qd(args):
     mu = _parse_value_list(args.moments, 0, "moment list")
-    try:
-        s = qd_sfraction_from_moments(mu)
-    except ValueError as e:
-        raise _PreconditionError(str(e)) from None
+    s = qd_sfraction_from_moments(mu)
     return _format_values(list(s.terms), args.format), 0, None
 
 
@@ -387,15 +366,12 @@ def _cmd_riordan(args):
     order = max(args.size, 2)
     gn, gd = _rational_coeffs(args.g)
     fn, fd = _rational_coeffs(args.f)
-    try:
-        pair = RiordanPair(
-            series_from_rational(gn, gd, order), series_from_rational(fn, fd, order)
-        )
-        if args.inverse:
-            pair = riordan_inverse(pair)
-        m = riordan_matrix(pair, args.size)
-    except (ValueError, ZeroDivisionError) as e:
-        raise _PreconditionError(str(e)) from None
+    pair = RiordanPair(
+        series_from_rational(gn, gd, order), series_from_rational(fn, fd, order)
+    )
+    if args.inverse:
+        pair = riordan_inverse(pair)
+    m = riordan_matrix(pair, args.size)
     return _format_matrix(m, args.format), 0, None
 
 
@@ -572,16 +548,8 @@ def run(argv) -> int:
     except (_UsageError, SpecParseError, ScalarParseError) as e:
         _complain("usage-error", e)
         return 2
-    except (
-        _PreconditionError,
-        QDBreakdownError,
-        CatalanLikenessError,
-        InsufficientCoefficients,
-        SequenceExhausted,
-        ExactDivisionError,
-        ZeroDivisionError,
-        DigitLimitError,
-    ) as e:
+    except (ValueError, ArithmeticError) as e:
+        # any other library failure: a precondition or an internal check
         _complain("precondition-error", e)
         return 3
     if args.out:

@@ -425,16 +425,11 @@ def _slot_count(terms, n):
     of ``prodCinv`` sums at most n products of an entry of C and one of
     C^-1.  The packed terms count too."""
     al = [sum(map(abs, _zq_coeffs(t))) for t in terms]
-    top = max(_dyck_sweep(al, 2 * n - 1))
-    p = h = 1
-    for k in range(n - 1):
-        p *= al[2 * k] * al[2 * k + 1]
-        h *= p
-        top = max(top, h)
+    s = SFractionCoeffs(al)
+    top = max(_dyck_sweep(al, 2 * n - 1) + hankel_from_sfraction(s, n))
     N, P_N = _behead_rows(al, n)
-    b = [al[0]] + [al[2 * i - 1] + al[2 * i] for i in range(1, n - 1)]
-    lam = [al[2 * i - 2] * al[2 * i - 1] for i in range(1, n - 1)]
-    P_M = _tridiagonal(b, lam, n)
+    j = s_to_j(s)
+    P_M = _tridiagonal(j.b, j.lam, n)
     times_M = _times(P_M)
     M = [[1]]
     for _ in range(n - 1):
@@ -442,7 +437,7 @@ def _slot_count(terms, n):
     neg = [-v for v in al]
     Ninv = _s_polynomial_rows(neg, n, _shift)
     C = _s_polynomial_rows(neg, n, times_M)
-    Cinv = _j_polynomial_rows([-v for v in b], [-v for v in lam], n, partial(_times_behead, al))
+    Cinv = _j_polynomial_rows([-v for v in j.b], [-v for v in j.lam], n, partial(_times_behead, al))
     top = max([top] + [max(r) for rows in (N, P_N, M, P_M.rows, Ninv, C, [al]) for r in rows])
     top = max(top, n * max(map(max, C)) * max(map(max, Cinv)))
     return _zq_width(top)

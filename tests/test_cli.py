@@ -256,24 +256,47 @@ def test_largest_golden_power_still_parses(capsys):
     assert (rc, out, err) == (0, "1 q^22\n", "")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["gen", "--spec", "const:2", "--size", "4"],
+_EXIT_THREE = [
+    (["gen", "--spec", "const:2", "--size", "4"], "first coefficient must be 1"),
+    (
         ["gen", "--spec", "lit:1,1,1", "--size", "4"],
+        "literal spec has 3 terms, term 4 requested",
+    ),
+    (
         ["gen", "--spec", "lit:1,0,1,1,1,1,1,1", "--size", "4"],
-        ["qd", "--moments", "2,4"],
-        ["qd", "--moments", "1,1,1,2"],
-        ["riordan", "--g", "x", "--f", "x", "--size", "4"],
+        "hankel determinant vanishes at order 1",
+    ),
+    (["qd", "--moments", "2,4"], "moment 0 must be 1"),
+    (["qd", "--moments", "1,1,1,2"], "no coefficient 3: Hankel determinant h_1 is 0"),
+    (["riordan", "--g", "x", "--f", "x", "--size", "4"], "g must be invertible at 0"),
+    (
         ["riordan", "--g", "1", "--f", "x^2", "--size", "4"],
+        "f must have an invertible linear coefficient",
+    ),
+    (
         ["moments", "--spec", "lit:2^20000", "--count", "2"],
-    ],
+        "an integer in the result has more than 4300 digits, the limit for printing it",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, reason", _EXIT_THREE, ids=[f"argv{i}" for i in range(len(_EXIT_THREE))]
 )
-def test_exit_three_precondition(argv, capsys):
-    rc, _, err = _run(argv, capsys)
-    assert rc == 3
-    assert err.startswith("precondition-error: ")
-    assert err.count("\n") == 1
+def test_exit_three_precondition(argv, reason, capsys):
+    assert _run(argv, capsys) == (3, "", f"precondition-error: {reason}\n")
+
+
+@pytest.mark.parametrize("error", [ArithmeticError, ValueError])
+def test_any_library_failure_exits_3_with_one_line(error, monkeypatch, capsys):
+    # run alone maps a library failure to exit 3, whatever its class
+    def fail(*args):
+        raise error("compare at size 4: a failure\non two lines")
+
+    monkeypatch.setattr("cfmoments.cli.compare", fail)
+    assert _run(["gen", "--spec", "const:1", "--size", "4"], capsys) == (
+        3, "", "precondition-error: compare at size 4: a failure\\non two lines\n"
+    )
 
 
 def test_trailing_input_in_moments_is_a_usage_error(capsys):

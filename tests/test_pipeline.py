@@ -675,6 +675,55 @@ def test_zq_slot_width_bounds_the_hankel_gate_random():
         assert max(map(_l1, values)) < 2 ** (_ZQ_BITS * m - 1), (a, n, m)
 
 
+def test_zq_slot_width_counts_the_products_of_prodcinv():
+    # an entry of prodCinv sums n products of an entry of C and one of C^-1:
+    # on these norms that term is 3 * 18920 * 37838 = 2147684880 >= 2^31,
+    # while every other majorant stays below 2^29, so it alone asks for a
+    # second unit per slot
+    a = SFractionCoeffs([1, 1, -18916, 11 - 17 * q, -2 - 4 * q, 3610])
+    assert pipeline._slot_count(a.terms, 3) == 2
+    assert all(ok for _, ok in compare(a, 3).diagnostics)
+
+
+def _evaluation_draws(seed, count):
+    """(a, n, v): small signed Z[q] terms, terms c·q^e·(1 + q) or Q(q)
+    terms in turn, a_1 = 1, n = 2..6 and v in -3, -2, 2, 3, 5."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randrange(2, 7)
+        terms = []
+        for _ in range(2 * n - 1):
+            if i % 3 == 0:
+                terms.append(_packed_term(rng, "signed"))
+            elif i % 3 == 1:
+                terms.append(rng.choice((1, -1, 2)) * q ** rng.randrange(3) * (1 + q))
+            else:
+                terms.append(_corpus_term(rng, "qrat"))
+        yield SFractionCoeffs([1] + terms), n, rng.choice((-3, -2, 2, 3, 5))
+
+
+def test_evaluation_at_an_integer_commutes_with_compare():
+    # q -> v is a ring homomorphism Z[q] -> Z and, where no denominator
+    # vanishes, Q(q) -> Q: the int and Fraction compare of the evaluated
+    # terms must be the evaluation of the Z[q] or Q(q) compare, unless a
+    # term the Hankel gate multiplies vanishes at v
+    checked = 0
+    for a, n, v in _evaluation_draws(20261030, 150):
+        try:
+            at_v = [eval_q(t, v) for t in a.terms]
+        except ZeroDivisionError:
+            continue
+        if 0 in at_v[: 2 * n - 2]:
+            continue
+        r, r_at_v = compare(a, n), compare(SFractionCoeffs(at_v), n)
+        assert [eval_q(x, v) for x in r.mu] == r_at_v.mu, (a, n, v)
+        for name in _RESULT_PARTS[1:]:
+            got = [[eval_q(x, v) for x in row] for row in getattr(r, name).rows]
+            assert got == [list(row) for row in getattr(r_at_v, name).rows], (name, a, n, v)
+        checked += 1
+    assert checked >= 100
+
+
 # --- one digest over a seeded corpus of compares ---
 #
 # Results and refusals of about 200 compares over every scalar ring, frozen
