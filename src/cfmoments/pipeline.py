@@ -141,10 +141,11 @@ def _times_behead(a, v):
 
 def build_N_via_rescale(a: SFractionCoeffs, n: int) -> Triangle:
     """Second construction: generate from the staircase production
-    matrix whose row i is filled with a_{i+1}, then divide column k by
-    the product a_1 ... a_k.  The division is exact: in Z or Z[q], or in
-    the fraction field once a Fraction or QRat is among the terms (the
-    quotient may then have rational coefficients).  Takes n >= 2."""
+    matrix whose row i is filled with a_{i+1} (``_times_staircase``, in
+    O(n^2) ring operations), then divide column k by the product
+    a_1 ... a_k.  The division is exact: in Z or Z[q], or in the fraction
+    field once a Fraction or QRat is among the terms (the quotient may
+    then have rational coefficients).  Takes n >= 2."""
     if n < 2:
         raise ValueError("size must be at least 2")
     if len(a.terms) < n:
@@ -152,14 +153,29 @@ def build_N_via_rescale(a: SFractionCoeffs, n: int) -> Triangle:
     for v in a.terms[: n - 1]:
         if v == 0:
             raise ValueError("zero coefficient makes the column divisors vanish")
-    staircase = ProductionMatrix([[a.terms[i]] * (i + 2) for i in range(n - 1)])
-    scaled = generate(staircase, n)
+    rows = [[1]]
+    for _ in range(n - 1):
+        rows.append(_times_staircase(a.terms, rows[-1]))
     divisors = [1]
     for k in range(1, n):
         divisors.append(divisors[-1] * a.terms[k - 1])
     if _in_zq(a.terms[: n - 1]):
-        return rescale_columns(scaled, divisors)
-    return Triangle([[field_div(v, divisors[j]) for j, v in enumerate(r)] for r in scaled.rows])
+        return rescale_columns(Triangle(rows), divisors)
+    return Triangle([[field_div(v, divisors[j]) for j, v in enumerate(r)] for r in rows])
+
+
+def _times_staircase(a, v):
+    """v·P, P the staircase of ``build_N_via_rescale`` for the terms a: row
+    i of P is a_{i+1} repeated, so entry j of v·P is the suffix sum
+    x_j = x_{j+1} + a_j·v_{j-1}, and x_0 = x_1.  Every product is added,
+    zero or not, so each entry has the exact type of ``generate``'s."""
+    x = [0] * (len(v) + 1)
+    s = 0
+    for j in range(len(v), 0, -1):
+        s = s + v[j - 1] * a[j - 1]
+        x[j] = s
+    x[0] = s
+    return x
 
 
 def op_coeff_triangle(j: JFractionCoeffs, n: int) -> Triangle:
@@ -421,9 +437,12 @@ def _slot_count(terms, n):
     values that fit: two whose images agree are then equal.  l1 is
     subadditive and submultiplicative, so the gate's two sweeps and the
     constructions' own recurrences, run on the terms' norms with every
-    subtraction made an addition, bound each value they build; an entry
-    of ``prodCinv`` sums at most n products of an entry of C and one of
-    C^-1.  The packed terms count too."""
+    subtraction made an addition, bound each value they build.  Row t of
+    ``prodCinv`` is row t of C times C^-1 without its first row, so on
+    those majorants the l1 norm of prodCinv[t][j] is at most
+    sum_k C[t][k]·max_j' C^-1[k+1][j'].  No other bound dominates that
+    one: some terms at n = 10 make it alone set m.  The packed terms
+    count too."""
     al = [sum(map(abs, _zq_coeffs(t))) for t in terms]
     s = SFractionCoeffs(al)
     top = max(_dyck_sweep(al, 2 * n - 1) + hankel_from_sfraction(s, n))
@@ -439,7 +458,8 @@ def _slot_count(terms, n):
     C = _s_polynomial_rows(neg, n, times_M)
     Cinv = _j_polynomial_rows([-v for v in j.b], [-v for v in j.lam], n, partial(_times_behead, al))
     top = max([top] + [max(r) for rows in (N, P_N, M, P_M.rows, Ninv, C, [al]) for r in rows])
-    top = max(top, n * max(map(max, C)) * max(map(max, Cinv)))
+    most = [max(r) for r in Cinv[1:]]
+    top = max([top] + [sum([x * y for x, y in zip(c, most)]) for c in C[:-1]])
     return _zq_width(top)
 
 

@@ -236,6 +236,28 @@ def test_a_field_compare_divides_each_distinct_entry_back_once(monkeypatch):
         assert len(calls) < len(entries)
 
 
+def test_staircase_row_operator_is_generation_in_exact_type():
+    # the rescale route's suffix sums against generate on the staircase,
+    # over int, Fraction, Z[q] and Q(q) terms and all four mixed, with
+    # zeros and signs so that rows cancel
+    rng = random.Random(20261032)
+    draws = [
+        lambda: rng.choice([0, 1, -1, 2, -3]),
+        lambda: rng.choice([0, 1, Fraction(-1, 2), Fraction(2, 3), Fraction(3)]),
+        lambda: rng.choice([0, 1, -1, q, -q, 1 + q, q - q**2]),
+        lambda: rng.choice([0, 1, q, QRat.make(1 + q, 1 + 2 * q), QRat.make(-1, 1 - q)]),
+    ]
+    draws.append(lambda: rng.choice(draws[:4])())
+    for i in range(200):
+        n = rng.randrange(2, 9)
+        terms = [draws[i % 5]() for _ in range(n - 1)]
+        rows = [[1]]
+        for _ in range(n - 1):
+            rows.append(pipeline._times_staircase(terms, rows[-1]))
+        staircase = ProductionMatrix([[terms[k]] * (k + 2) for k in range(n - 1)])
+        assert _typed_rows(Triangle(rows)) == _typed_rows(generate(staircase, n)), terms
+
+
 def test_build_n_size_one():
     for build in (build_N_via_behead, build_N_via_rescale, build_M, compare):
         with pytest.raises(ValueError, match="at least 2"):
@@ -501,31 +523,36 @@ def test_zq_compare_slot_width_bounds_every_returned_entry_random(monkeypatch):
     assert widths
 
 
+def _assert_compare_matches_the_constructions_on_the_terms(a, n):
+    """The packed run against the constructions called on the QPoly terms,
+    in value and exact type."""
+    r = compare(a, n)
+    N, prodN = build_N_via_behead(a, n)
+    M, prodM = build_M(a, n)
+    b = [row[i] for i, row in enumerate(prodM.rows)]
+    lam = [row[i - 1] for i, row in enumerate(prodM.rows) if i]
+    C = Triangle(pipeline._s_polynomial_rows(a.terms, n, triangle._times(prodM)))
+    Cinv = pipeline._j_polynomial_rows(b, lam, n, partial(pipeline._times_behead, a.terms))
+    want = {
+        "N": N,
+        "M": M,
+        "Ninv": Triangle(pipeline._s_polynomial_rows(a.terms, n, pipeline._shift)),
+        "C": C,
+        "prodN": prodN,
+        "prodM": prodM,
+        "prodCinv": production_of(Triangle(Cinv), Triangle(C.rows[:-1])),
+    }
+    assert build_N_via_rescale(a, n) == N
+    for name, m in want.items():
+        got = getattr(r, name)
+        assert type(got) is type(m) and _typed_rows(got) == _typed_rows(m), (name, a, n)
+    mu = moments_from_jfraction(s_to_j(a), n)
+    assert [(type(v), v) for v in r.mu] == [(type(v), v) for v in mu]
+
+
 def test_zq_compare_matches_the_constructions_on_the_terms_in_exact_type():
-    # the packed run against the constructions called on the QPoly terms
     for a, n in _packed_inputs(20261020, 60):
-        r = compare(a, n)
-        N, prodN = build_N_via_behead(a, n)
-        M, prodM = build_M(a, n)
-        b = [row[i] for i, row in enumerate(prodM.rows)]
-        lam = [row[i - 1] for i, row in enumerate(prodM.rows) if i]
-        C = Triangle(pipeline._s_polynomial_rows(a.terms, n, triangle._times(prodM)))
-        Cinv = pipeline._j_polynomial_rows(b, lam, n, partial(pipeline._times_behead, a.terms))
-        want = {
-            "N": N,
-            "M": M,
-            "Ninv": Triangle(pipeline._s_polynomial_rows(a.terms, n, pipeline._shift)),
-            "C": C,
-            "prodN": prodN,
-            "prodM": prodM,
-            "prodCinv": production_of(Triangle(Cinv), Triangle(C.rows[:-1])),
-        }
-        assert build_N_via_rescale(a, n) == N
-        for name, m in want.items():
-            got = getattr(r, name)
-            assert type(got) is type(m) and _typed_rows(got) == _typed_rows(m), (name, a, n)
-        mu = moments_from_jfraction(s_to_j(a), n)
-        assert [(type(v), v) for v in r.mu] == [(type(v), v) for v in mu]
+        _assert_compare_matches_the_constructions_on_the_terms(a, n)
 
 
 def test_int_and_fraction_compares_never_pack(monkeypatch):
@@ -676,13 +703,23 @@ def test_zq_slot_width_bounds_the_hankel_gate_random():
 
 
 def test_zq_slot_width_counts_the_products_of_prodcinv():
-    # an entry of prodCinv sums n products of an entry of C and one of C^-1:
-    # on these norms that term is 3 * 18920 * 37838 = 2147684880 >= 2^31,
-    # while every other majorant stays below 2^29, so it alone asks for a
-    # second unit per slot
-    a = SFractionCoeffs([1, 1, -18916, 11 - 17 * q, -2 - 4 * q, 3610])
-    assert pipeline._slot_count(a.terms, 3) == 2
-    assert all(ok for _, ok in compare(a, 3).diagnostics)
+    # row t of prodCinv is row t of C times C^-1 without its first row: on
+    # these norms the bound sum_k C[t][k]·max C^-1[k+1] reaches 2259893006
+    # >= 2^31, while the gate's mu and h stay below 1243544034 and every
+    # other majorant below 2^17, so it alone asks for a second unit per slot
+    a = SFractionCoeffs([1] + [q] * 13 + [150 * q, q, 800 * q, q, q, q])
+    assert pipeline._slot_count(a.terms, 10) == 2
+    assert all(ok for _, ok in compare(a, 10).diagnostics)
+
+
+def test_zq_slot_width_bounds_prodcinv_row_by_row():
+    # zq-compare's shape at n = 8, norms 1 and 2 in turn: n·max C·max C^-1
+    # is 19365964800 >= 2^34, but no row of C meets the largest row of C^-1,
+    # and the row bound (1319824) and the gate's mu and h (below 2^28) fit
+    # one unit per slot; every entry still unpacks exactly
+    a = SFractionCoeffs([1] + [q * (1 + q) if k % 2 else q for k in range(15)])
+    assert pipeline._slot_count(a.terms, 8) == 1
+    _assert_compare_matches_the_constructions_on_the_terms(a, 8)
 
 
 def _evaluation_draws(seed, count):
@@ -722,6 +759,32 @@ def test_evaluation_at_an_integer_commutes_with_compare():
             assert got == [list(row) for row in getattr(r_at_v, name).rows], (name, a, n, v)
         checked += 1
     assert checked >= 100
+
+
+def test_scaling_the_terms_scales_compare_by_degree():
+    # every output is homogeneous in the a_i (Flajolet 1980), which the
+    # field path rests on: _compare_ring on c·a, b_1 = c passing unchecked,
+    # returns mu_k·c^k, triangle entry (i, j) times c^(i-j) and production
+    # entry (t, j) times c^(t+1-j).  c = q and 1 + q pack int terms and
+    # widen the slots of Z[q] ones
+    rng = random.Random(20261033)
+    kinds = ("int", "signed", "huge", "monomial")
+    scales = (2, 3, -2, q, 1 + q)
+    for i in range(100):
+        kind, c = kinds[i % 4], scales[i % 5]
+        n = rng.randrange(2, 5 if kind == "huge" else 9)
+        terms = [1] + [_packed_term(rng, kind) for _ in range(2 * n - 1)]
+        r = _compare_ring(SFractionCoeffs(terms), n)
+        s = _compare_ring(SFractionCoeffs([c * t for t in terms]), n)
+        mu = [v * c**k for k, v in enumerate(r.mu)]
+        assert [(type(v), v) for v in s.mu] == [(type(v), v) for v in mu], (terms, n, c)
+        for name in _RESULT_PARTS[1:]:
+            m = getattr(r, name)
+            shift = 1 if type(m) is ProductionMatrix else 0
+            rows = enumerate(m.rows, shift)
+            want = type(m)([[v * c ** (t - j) for j, v in enumerate(row)] for t, row in rows])
+            assert _typed_rows(getattr(s, name)) == _typed_rows(want), (name, terms, n, c)
+        assert all(ok for _, ok in s.diagnostics)
 
 
 # --- one digest over a seeded corpus of compares ---

@@ -55,9 +55,16 @@ FAULTS = [
     Fault(
         "slot-count-without-the-prodcinv-products",
         "src/cfmoments/pipeline.py",
-        "    top = max(top, n * max(map(max, C)) * max(map(max, Cinv)))\n",
+        "    top = max([top] + [sum([x * y for x, y in zip(c, most)]) for c in C[:-1]])\n",
         "",
         "tests/test_pipeline.py::test_zq_slot_width_counts_the_products_of_prodcinv",
+    ),
+    Fault(
+        "staircase-skips-zero-products",
+        "src/cfmoments/pipeline.py",
+        "        s = s + v[j - 1] * a[j - 1]\n",
+        "        s = s + v[j - 1] * a[j - 1] if v[j - 1] else s\n",
+        "tests/test_pipeline.py::test_staircase_row_operator_is_generation_in_exact_type",
     ),
     Fault(
         "peel-without-its-d-power",
