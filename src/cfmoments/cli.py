@@ -288,6 +288,9 @@ def _cmd_gen(args):
     if args.what == "all" and args.format == "csv":
         raise _UsageError("csv carries a single matrix; pick one with --what")
     r = compare(SFractionCoeffs(parse_spec(args.spec).terms(2 * args.size)), args.size)
+    failed = next((name for name, ok in r.diagnostics if not ok), None)
+    if failed:
+        raise ArithmeticError(f"compare at size {args.size}: diagnostic {failed} failed")
     parts = {name: getattr(r, name) for name in _WHAT_ORDER}
     if args.what != "all":
         return _format_matrix(parts[args.what], args.format), 0, None

@@ -381,9 +381,8 @@ def _compare_ring(a: SFractionCoeffs, n: int) -> ComparisonResult:
     terms; a_1 is not checked, so a scaled b_1 = D passes."""
     terms = a.terms[: 2 * n]
     if 0 in terms[: 2 * n - 2]:
-        # in an integral domain h_k vanishes only where a term it multiplies does
-        h = hankel_from_sfraction(a, n)
-        raise CatalanLikenessError(h.index(0))
+        # in an integral domain h_k vanishes iff one of a_1..a_2k does
+        raise CatalanLikenessError(terms.index(0) // 2 + 1)
     types = set(map(type, terms))
     m = _slot_count(terms, n) if QPoly in types and types <= _ZQ_TYPES else 0
     s = SFractionCoeffs([_zq_pack(t, m) for t in terms]) if m else a

@@ -23,10 +23,10 @@ long-divides, which for a constant is one divmod per coefficient.
 The Z[q] Hankel sweep and the Z[q] constructions of ``compare`` run on
 integers (Kronecker substitution): ``_zq_pack`` maps a value to its
 image under q -> 2^(32m), one coefficient per slot of m units of
-``_ZQ_BITS`` = 32 bits, laid out through ``array('i')`` at m = 1,
-``array('q')`` at m = 2 and ``int.from_bytes``, and ``_zq_slots`` and
-``_zq_unpack`` read the coefficients back the same way.  All three are
-linear in the number of coefficients.
+``_ZQ_BITS`` = 32 bits, each slot written through ``int.to_bytes``, and
+``_zq_slots`` and ``_zq_unpack`` read the coefficients back through
+``array('i')`` at m = 1, ``array('q')`` at m = 2 and ``int.from_bytes``
+beyond.  All three are linear in the number of coefficients.
 
 Field values reach those integer loops cleared of their denominators:
 terms by their lcm (``_cleared``), moment lists by index
@@ -38,6 +38,7 @@ the small c as one operand and no final gcd is needed.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from array import array
 from fractions import Fraction
@@ -515,24 +516,18 @@ def _zq_bias(n, m):
 def _zq_pack(x, m):
     """Image of an int or QPoly under q -> 2^(32m), for coefficients that
     fit a slot of 32m bits, -2^(32m-1) <= c < 2^(32m-1); OverflowError
-    otherwise.  The coefficients are laid out in two's complement, one per
-    slot, and read as one integer y.  Flipping every slot's top bit
-    (XOR with the bias B) biases each c to c + 2^(32m-1) >= 0, and
-    subtracting B takes the bias off all slots at once."""
+    otherwise.  ``int.to_bytes`` writes the coefficients in two's
+    complement, one per slot, and the slots are read as one integer y.
+    Flipping every slot's top bit (XOR with the bias B) biases each c to
+    c + 2^(32m-1) >= 0, and subtracting B takes the bias off all slots at
+    once."""
     if type(x) is int:
         if x.bit_length() >= _ZQ_BITS * m and x != -1 << (_ZQ_BITS * m - 1):
             raise OverflowError("coefficient does not fit a slot")
         return x
     cs = x.coeffs
-    code = _ZQ_ARRAY_CODES.get(m)
-    if code:
-        slots = array(code, cs)
-        if _BIG_ENDIAN:
-            slots.byteswap()
-        raw = slots.tobytes()
-    else:
-        w = _ZQ_BITS // 8 * m
-        raw = b"".join([c.to_bytes(w, "little", signed=True) for c in cs])
+    w = _ZQ_BITS // 8 * m
+    raw = b"".join([c.to_bytes(w, "little", signed=True) for c in cs])
     bias = _zq_bias(len(cs), m)
     return (int.from_bytes(raw, "little") ^ bias) - bias
 
@@ -672,39 +667,28 @@ def render(x) -> str:
         ) from None
 
 
+# a run of ASCII digits, or any one character that is not a blank
+_TOKEN = re.compile(r"[0-9]+|[^ \t]")
+
+
 def _tokenize(text, var):
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
+    for match in _TOKEN.finditer(text):
+        s, i = match[0], match.start()
+        if "0" <= s[0] <= "9":
             try:
-                value = int(text[i:j])
+                toks.append(("int", int(s), i))
             except ValueError:  # more digits than the interpreter converts
                 raise ScalarParseError(
-                    "integer literal longer than "
-                    f"{sys.get_int_max_str_digits()} digits",
-                    i,
+                    f"integer literal longer than {sys.get_int_max_str_digits()} digits", i
                 ) from None
-            toks.append(("int", value, i))
-            i = j
-            continue
-        if ch == var:
+        elif s == var:
             toks.append(("var", var, i))
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        raise ScalarParseError(f"unexpected character {ch!r}", i)
-    toks.append(("end", "", n))
+        elif s in "+-*/^()":
+            toks.append((s, s, i))
+        else:
+            raise ScalarParseError(f"unexpected character {s!r}", i)
+    toks.append(("end", "", len(text)))
     return toks
 
 
@@ -745,50 +729,43 @@ def parse_scalar(text: str, var: str = "q"):
     is refused at its ``^``.  Errors carry the byte offset.
     """
     toks = _tokenize(text, var)
-    pos = [0]
-    depth = [0]
+    pos = depth = 0
 
-    def peek():
-        return toks[pos[0]]
-
-    def take():
-        t = toks[pos[0]]
-        pos[0] += 1
-        return t
-
-    def expect(kind):
-        t = take()
-        if t[0] != kind:
+    def take(kind=None):
+        """The next token; ScalarParseError where it is not of ``kind``."""
+        nonlocal pos
+        t = toks[pos]
+        if kind and t[0] != kind:
             raise ScalarParseError(f"expected {kind!r}", t[2])
+        pos += 1
         return t
 
     def atom():
+        nonlocal depth
         t = take()
         if t[0] == "int":
             return t[1]
         if t[0] == "var":
             return q
         if t[0] == "(":
-            if depth[0] == _MAX_NESTING:
-                raise ScalarParseError(
-                    f"parentheses nested deeper than {_MAX_NESTING}", t[2]
-                )
-            depth[0] += 1
+            if depth == _MAX_NESTING:
+                raise ScalarParseError(f"parentheses nested deeper than {_MAX_NESTING}", t[2])
+            depth += 1
             v = sumexpr()
-            expect(")")
-            depth[0] -= 1
+            take(")")
+            depth -= 1
             return v
         raise ScalarParseError("expected a value", t[2])
 
     def factor():
         neg = False
-        while peek()[0] == "-":
+        while toks[pos][0] == "-":
             take()
             neg = not neg
         v = atom()
-        if peek()[0] == "^":
+        if toks[pos][0] == "^":
             op = take()
-            e = expect("int")[1]
+            e = take("int")[1]
             if _power_too_big(v, e):
                 raise ScalarParseError(
                     f"power above the size limit (degree {_MAX_POWER_DEGREE}, "
@@ -800,7 +777,7 @@ def parse_scalar(text: str, var: str = "q"):
 
     def term():
         v = factor()
-        while peek()[0] in ("*", "/"):
+        while toks[pos][0] in ("*", "/"):
             op = take()
             w = factor()
             if op[0] == "*":
@@ -814,14 +791,14 @@ def parse_scalar(text: str, var: str = "q"):
 
     def sumexpr():
         v = term()
-        while peek()[0] in ("+", "-"):
+        while toks[pos][0] in ("+", "-"):
             op = take()[0]
             w = term()
             v = v + w if op == "+" else v - w
         return v
 
     v = sumexpr()
-    t = peek()
+    t = toks[pos]
     if t[0] != "end":
         raise ScalarParseError("unexpected trailing input", t[2])
     return v

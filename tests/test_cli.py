@@ -299,6 +299,15 @@ def test_any_library_failure_exits_3_with_one_line(error, monkeypatch, capsys):
     )
 
 
+def test_gen_refuses_a_result_whose_diagnostics_failed(monkeypatch, capsys):
+    # slots one unit wide are too narrow for these terms (they need m = 6), so
+    # the unpacked N and M are wrong and compare's own first-column checks fail
+    monkeypatch.setattr("cfmoments.pipeline._slot_count", lambda terms, n: 1)
+    argv = ["gen", "--spec", "cycle:1,1048576+q,1048576*q,1048576", "--size", "4", "--what", "N"]
+    reason = "compare at size 4: diagnostic first-column-of-first-matrix-is-moments failed"
+    assert _run(argv, capsys) == (3, "", f"precondition-error: {reason}\n")
+
+
 def test_trailing_input_in_moments_is_a_usage_error(capsys):
     assert _run(["qd", "--moments", "1,1 2"], capsys) == (
         2,

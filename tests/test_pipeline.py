@@ -723,19 +723,19 @@ def test_zq_slot_width_bounds_prodcinv_row_by_row():
 
 
 def _evaluation_draws(seed, count):
-    """(a, n, v): small signed Z[q] terms, terms c·q^e·(1 + q) or Q(q)
-    terms in turn, a_1 = 1, n = 2..6 and v in -3, -2, 2, 3, 5."""
+    """(a, n, v): small signed Z[q] terms, terms c·q^e·(1 + q), Q(q) terms,
+    Z[q] terms with 2^70 coefficients or terms of mixed rings in turn,
+    a_1 = 1, n = 2..6 (2..4 for 2^70 coefficients) and v in -3, -2, 2, 3, 5."""
     rng = random.Random(seed)
     for i in range(count):
-        n = rng.randrange(2, 7)
+        kind = ("signed", "q-power", "qrat", "huge", "mixed")[i % 5]
+        n = rng.randrange(2, 5 if kind == "huge" else 7)
         terms = []
         for _ in range(2 * n - 1):
-            if i % 3 == 0:
-                terms.append(_packed_term(rng, "signed"))
-            elif i % 3 == 1:
+            if kind == "q-power":
                 terms.append(rng.choice((1, -1, 2)) * q ** rng.randrange(3) * (1 + q))
             else:
-                terms.append(_corpus_term(rng, "qrat"))
+                terms.append(_corpus_term(rng, kind))
         yield SFractionCoeffs([1] + terms), n, rng.choice((-3, -2, 2, 3, 5))
 
 
@@ -797,6 +797,8 @@ _CORPUS_KINDS = ("int", "fraction", "signed", "huge", "monomial", "qrat", "mixed
 
 
 def _corpus_term(rng, kind):
+    if kind == "mixed":
+        kind = rng.choice(_CORPUS_KINDS[:-1])
     if kind == "fraction":
         return Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randrange(1, 5))
     if kind == "qrat":

@@ -123,6 +123,14 @@ FAULTS = [
         "    except ValueError as e:\n",
         "tests/test_cli.py::test_any_library_failure_exits_3_with_one_line",
     ),
+    Fault(
+        "gen-prints-a-result-whose-diagnostics-failed",
+        "src/cfmoments/cli.py",
+        "    if failed:\n"
+        '        raise ArithmeticError(f"compare at size {args.size}: diagnostic {failed} failed")\n',
+        "",
+        "tests/test_cli.py::test_gen_refuses_a_result_whose_diagnostics_failed",
+    ),
 ]
 
 
