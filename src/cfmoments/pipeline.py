@@ -117,17 +117,11 @@ def build_N_via_behead(a: SFractionCoeffs, n: int) -> tuple[Triangle, Production
         raise ValueError("size must be at least 2")
     if len(a.terms) < n:
         raise InsufficientCoefficients(f"need {n} coefficients, got {len(a.terms)}")
-    N, rows = _behead_rows(a.terms, n)
-    return Triangle(N), behead(Triangle(rows))
-
-
-def _behead_rows(a, n):
-    """Rows 0..n-1 of N and of B^-1 for the terms a (``build_N_via_behead``)."""
     rows, N = [[1]], [[1]]
-    for t in a[: n - 1]:
+    for t in a.terms[: n - 1]:
         rows.append([v * t or 0 for v in rows[-1]] + [1])
-        N.append(_times_behead(a, N[-1]))
-    return N, rows
+        N.append(_times_behead(a.terms, N[-1]))
+    return Triangle(N), behead(Triangle(rows))
 
 
 def _times_behead(a, v):
@@ -295,9 +289,9 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
     """Full comparison at size n.
 
     Requires a_1 = 1, at least 2n coefficients, and nonvanishing leading
-    Hankel determinants h_0 .. h_{n-1}, taken from the product formula
-    (raises CatalanLikenessError at the first zero).  The last
-    determinant is also computed from the moments alone, by the
+    Hankel determinants h_0 .. h_{n-1} (raises CatalanLikenessError at
+    the first zero).  The last determinant is taken from the product
+    formula and also computed from the moments alone, by the
     fraction-free three-term recurrence, in O(n^2) ring operations;
     disagreement signals a bug and raises.  ``prodN`` and ``prodM`` are
     the builders' own production matrices (a unit-diagonal triangle has
@@ -312,10 +306,11 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
     with the generic kernels (``specializes-symbolic-product``,
     ``flag-triangle-production``).
 
-    A zero among a_1 .. a_{2n-2} is refused first, from the product
-    formula on the terms themselves: Z and Z[q] are integral domains, so
-    h_k vanishes only where one of its factors does, and no other input
-    fails the gate's zero test.
+    A zero among a_1 .. a_{2n-2} is refused first, at the order read off
+    the index of the first zero term, ``terms.index(0) // 2 + 1``: Z and
+    Z[q] are integral domains, and by the product formula h_k vanishes
+    exactly when one of a_1 .. a_{2k} does, so no other input fails the
+    gate's zero test.
 
     Z[q] terms with a QPoly among them run on their images under the ring
     homomorphism phi: q -> 2^(32m), gate included: the product formula
@@ -327,10 +322,11 @@ def compare(a: SFractionCoeffs, n: int) -> ComparisonResult:
     exact in Z[q], so the int run computes the images of the true
     entries.  ``_slot_count`` picks m so that each returned entry unpacks
     exactly (``ring._zq_unpack``) and every moment and h_k of the gate
-    fits its slots.  The two routes to h_{n-1}, the second routes to N
-    and M and the C^-1·C row are compared on images: a disagreement goes
-    unseen only if it is a nonzero multiple of q - 2^(32m), which has a
-    coefficient of at least 2^(32m).
+    fits its slots, from five majorants: of the gate's mu and h, of the
+    terms, of C's last row and of ``prodCinv``'s rows.  The two routes to
+    h_{n-1}, the second routes to N and M and the C^-1·C row are compared
+    on images: a disagreement goes unseen only if it is a nonzero multiple
+    of q - 2^(32m), which has a coefficient of at least 2^(32m).
 
     Field input (a Fraction or QRat among the 2n terms) runs over Z or
     Z[q]: every output is homogeneous in the a_i (Flajolet 1980), so the
@@ -432,33 +428,30 @@ def _slot_count(terms, n):
     the Z[q] terms, and every mu_0 .. mu_{2n-2} and h_0 .. h_{n-1} of its
     Hankel gate, has l1 norm below 2^(32m-1), so that its image under
     q -> 2^(32m), m units of ``ring._ZQ_BITS`` bits a slot, unpacks
-    exactly.  The gate unpacks nothing, but its check is sound only for
-    values that fit: two whose images agree are then equal.  l1 is
-    subadditive and submultiplicative, so the gate's two sweeps and the
-    constructions' own recurrences, run on the terms' norms with every
-    subtraction made an addition, bound each value they build.  Row t of
-    ``prodCinv`` is row t of C times C^-1 without its first row, so on
-    those majorants the l1 norm of prodCinv[t][j] is at most
-    sum_k C[t][k]·max_j' C^-1[k+1][j'].  No other bound dominates that
-    one: some terms at n = 10 make it alone set m.  The packed terms
-    count too."""
+    exactly; the gate unpacks nothing, but its check is sound only for
+    values that fit.  l1 is subadditive and submultiplicative, so sweeps
+    and recurrences on the terms' norms, with every subtraction made an
+    addition, give majorants (x~).  Five set m: mu~, h~, the norms, the
+    last row of C~ and, for row t of ``prodCinv`` (row t of C times C^-1
+    without its first row), sum_k C~[t][k]·max_j C^-1~[k+1][j], which alone
+    sets m on some terms at n = 10.  No other entry's majorant can exceed
+    them once a_1 .. a_{2n-2} are nonzero (``_compare_ring`` checks that
+    first), as each norm is then at least 1.  In paths (Flajolet 1980),
+    the Dyck prefixes of N~[r][j] (r up steps, ending at height j) and the
+    Motzkin prefixes of M~[r][j] (length r) take j more down steps, of
+    weight >= 1, into mu~_r and, by the contraction ``s_to_j``, into
+    mu~_{r+j}, r + j <= 2n - 2; prodN~[t][j] = a~_{j+1}···a~_{t+1} is at
+    most mu~_{t+1}, b~_i at most mu~_{2i+1} and l~_i at most mu~_{2i}.
+    C~ = N^-1~·M~ with every entry >= 0 and M~ unit-diagonal, so N^-1~ <= C~,
+    and C^-1~'s unit diagonal puts rows 0 .. n-2 of C~ under the row bound."""
     al = [sum(map(abs, _zq_coeffs(t))) for t in terms]
     s = SFractionCoeffs(al)
-    top = max(_dyck_sweep(al, 2 * n - 1) + hankel_from_sfraction(s, n))
-    N, P_N = _behead_rows(al, n)
+    top = max(_dyck_sweep(al, 2 * n - 1) + hankel_from_sfraction(s, n) + al)
     j = s_to_j(s)
-    P_M = _tridiagonal(j.b, j.lam, n)
-    times_M = _times(P_M)
-    M = [[1]]
-    for _ in range(n - 1):
-        M.append(times_M(M[-1]))
-    neg = [-v for v in al]
-    Ninv = _s_polynomial_rows(neg, n, _shift)
-    C = _s_polynomial_rows(neg, n, times_M)
+    C = _s_polynomial_rows([-v for v in al], n, _times(_tridiagonal(j.b, j.lam, n)))
     Cinv = _j_polynomial_rows([-v for v in j.b], [-v for v in j.lam], n, partial(_times_behead, al))
-    top = max([top] + [max(r) for rows in (N, P_N, M, P_M.rows, Ninv, C, [al]) for r in rows])
     most = [max(r) for r in Cinv[1:]]
-    top = max([top] + [sum([x * y for x, y in zip(c, most)]) for c in C[:-1]])
+    top = max([top, max(C[-1])] + [sum([x * y for x, y in zip(c, most)]) for c in C[:-1]])
     return _zq_width(top)
 
 

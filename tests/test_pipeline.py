@@ -33,7 +33,7 @@ from cfmoments.pipeline import (
     qcase_factorization_check,
     verify_example,
 )
-from cfmoments.ring import _ZQ_BITS, QPoly, QRat, eval_q, q, render
+from cfmoments.ring import _ZQ_BITS, QPoly, QRat, _zq_width, eval_q, q, render
 from cfmoments.series import RiordanPair, TruncatedSeries, catalan_series, riordan_matrix
 from cfmoments.triangle import (
     ProductionMatrix,
@@ -720,6 +720,42 @@ def test_zq_slot_width_bounds_prodcinv_row_by_row():
     a = SFractionCoeffs([1] + [q * (1 + q) if k % 2 else q for k in range(15)])
     assert pipeline._slot_count(a.terms, 8) == 1
     _assert_compare_matches_the_constructions_on_the_terms(a, 8)
+
+
+def test_zq_slot_count_needs_no_majorant_of_n_m_their_productions_or_n_inverse():
+    # with a_1 .. a_{2n-2} nonzero, the majorants of N, prodN, M, prodM,
+    # N^-1 and rows 0 .. n-2 of C never exceed the gate's mu and h, the
+    # norms, C's last row and the prodCinv row bound, so adding them all
+    # back leaves m as it is
+    rng = random.Random(20261034)
+    kinds = ("signed", "huge", "monomial", "int")
+    for i in range(300):
+        n = 2 + i % 11
+        pick = [kinds[i % 5]] if i % 5 < 4 else kinds
+        terms = [1] + [_packed_term(rng, rng.choice(pick)) for _ in range(2 * n - 1)]
+        if i % 3 == 0:
+            terms[-rng.randrange(1, 3)] = 0
+        al = [_l1(t) for t in terms]
+        s = SFractionCoeffs(al)
+        N, prodN = build_N_via_behead(s, n)
+        M, prodM = build_M(s, n)
+        j = s_to_j(s)
+        neg = [-v for v in al]
+        Ninv = pipeline._s_polynomial_rows(neg, n, pipeline._shift)
+        C = pipeline._s_polynomial_rows(neg, n, triangle._times(prodM))
+        Cinv = pipeline._j_polynomial_rows(
+            [-v for v in j.b], [-v for v in j.lam], n, partial(pipeline._times_behead, al)
+        )
+        most = [max(r) for r in Cinv[1:]]
+        top = max(
+            moments_from_sfraction(s, 2 * n - 1)
+            + hankel_from_sfraction(s, n)
+            + al
+            + [max(r) for t in (N, prodN, M, prodM) for r in t.rows]
+            + [max(r) for r in Ninv + C]
+            + [sum([x * y for x, y in zip(c, most)]) for c in C[:-1]]
+        )
+        assert pipeline._slot_count(terms, n) == _zq_width(top), (terms, n)
 
 
 def _evaluation_draws(seed, count):

@@ -48,15 +48,23 @@ FAULTS = [
     Fault(
         "slot-count-without-the-gate-moments",
         "src/cfmoments/pipeline.py",
-        "    top = max(_dyck_sweep(al, 2 * n - 1) + hankel_from_sfraction(s, n))\n",
-        "    top = max(hankel_from_sfraction(s, n))\n",
+        "    top = max(_dyck_sweep(al, 2 * n - 1) + hankel_from_sfraction(s, n) + al)\n",
+        "    top = max(hankel_from_sfraction(s, n) + al)\n",
         "tests/test_pipeline.py::test_zq_slot_width_bounds_the_hankel_gate_random",
+    ),
+    Fault(
+        "slot-count-without-the-packed-terms",
+        "src/cfmoments/pipeline.py",
+        "    top = max(_dyck_sweep(al, 2 * n - 1) + hankel_from_sfraction(s, n) + al)\n",
+        "    top = max(_dyck_sweep(al, 2 * n - 1) + hankel_from_sfraction(s, n))\n",
+        "tests/test_pipeline.py::test_zq_compare_slot_width_bounds_every_returned_entry_random",
     ),
     Fault(
         "slot-count-without-the-prodcinv-products",
         "src/cfmoments/pipeline.py",
-        "    top = max([top] + [sum([x * y for x, y in zip(c, most)]) for c in C[:-1]])\n",
-        "",
+        "    top = max([top, max(C[-1])]"
+        " + [sum([x * y for x, y in zip(c, most)]) for c in C[:-1]])\n",
+        "    top = max(top, max(C[-1]))\n",
         "tests/test_pipeline.py::test_zq_slot_width_counts_the_products_of_prodcinv",
     ),
     Fault(
