@@ -12,7 +12,10 @@ Each type is built one way.  A QPoly comes from ``QPoly.make``, which
 checks that every coefficient is a plain int, from ``q`` or from the
 arithmetic, which closes each result with the trusted ``_from_ints``; a
 QRat from ``QRat.make`` or from the arithmetic, whose coprime results go
-to the trusted ``_reduced``.  Neither class has a constructor.
+to the trusted ``_reduced``.  Neither class has a constructor.  The
+Z[q] helpers and ``QRat`` equality rely on that canonical form: a
+nonzero value's coefficients end in no zero, and a QRat's coprime parts,
+with a positive leading denominator, are equal exactly when the values are.
 
 Z[q] products are linear in the other operand when one operand is a
 monomial c·q^m.  A factor 1 or 0 returns at once, a monomial factor
@@ -77,13 +80,6 @@ class ScalarParseError(ValueError):
 class DigitLimitError(ValueError):
     """An integer has more decimal digits than the interpreter converts
     to text (``sys.get_int_max_str_digits``)."""
-
-
-def _strip(coeffs):
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
 
 
 # x - y and y - x for a QPoly or QRat x: both classes subtract by negation
@@ -241,16 +237,16 @@ def _zq_gcd(x, y):
 
     Primitive polynomial remainder sequence: the contents are split off
     and each pseudo-remainder is divided by its content, so every step
-    stays in the integers (Collins 1967; Brown 1971).
+    stays in the integers (Collins 1967; Brown 1971).  A zero operand
+    gives the other operand, negated if it leads negative; gcd(0, 0)
+    raises ZeroDivisionError.
     """
-    xs, ys = _strip(_zq_coeffs(x)), _strip(_zq_coeffs(y))
-    if not xs and not ys:
-        raise ZeroDivisionError("gcd(0, 0)")
-    if not xs or not ys:
-        zs = xs or ys
-        if zs[-1] < 0:
-            zs = [-c for c in zs]
-        return QPoly._from_ints(zs)
+    if x == 0 or y == 0:
+        z = y if x == 0 else x
+        if z == 0:
+            raise ZeroDivisionError("gcd(0, 0)")
+        return -z if _zq_coeffs(z)[-1] < 0 else z
+    xs, ys = _zq_coeffs(x), _zq_coeffs(y)
     cx, cy = math.gcd(*xs), math.gcd(*ys)
     cg = math.gcd(cx, cy)
     if len(xs) == 1 or len(ys) == 1:
@@ -276,10 +272,9 @@ def _zq_exact_div(x, y):
     """Exact division in the polynomial ring.  A divisor 1 returns x,
     and any other long-divides from the top.  Whatever is left is a
     remainder, and then it raises."""
-    xs = _strip(_zq_coeffs(x))
-    ys = _strip(_zq_coeffs(y))
-    if ys == [1]:
+    if y == 1:
         return x
+    xs, ys = list(_zq_coeffs(x)), _zq_coeffs(y)
     dy, rem = len(ys) - 1, 0
     out = [0] * max(len(xs) - dy, 0)
     for k in range(len(out) - 1, -1, -1):
@@ -446,10 +441,12 @@ class QRat:
         return _reduced(num, den)
 
     def __eq__(self, other):
-        p = _as_zq_pair(other)
-        if p is None:
-            return NotImplemented
-        return self.num * p[1] == p[0] * self.den
+        t = type(other)
+        if t is QRat:
+            return self.num == other.num and self.den == other.den
+        if t in _SCALAR_TYPES:
+            return False
+        return NotImplemented
 
     def __hash__(self):
         return hash(("QRat", _zq_coeffs(self.num), _zq_coeffs(self.den)))
@@ -521,11 +518,7 @@ def _zq_pack(x, m):
     Flipping every slot's top bit (XOR with the bias B) biases each c to
     c + 2^(32m-1) >= 0, and subtracting B takes the bias off all slots at
     once."""
-    if type(x) is int:
-        if x.bit_length() >= _ZQ_BITS * m and x != -1 << (_ZQ_BITS * m - 1):
-            raise OverflowError("coefficient does not fit a slot")
-        return x
-    cs = x.coeffs
+    cs = _zq_coeffs(x)
     w = _ZQ_BITS // 8 * m
     raw = b"".join([c.to_bytes(w, "little", signed=True) for c in cs])
     bias = _zq_bias(len(cs), m)

@@ -169,9 +169,9 @@ def invert(T: Triangle) -> Triangle:
     keep = not T.types | set(map(type, diag_inv)) <= _ZQ_TYPES
     rows, terms = [], []
     for i, (t, d) in enumerate(zip(T.rows, diag_inv)):
-        # -d·s with no product when d is 1 or -1; a zero sum is int 0
+        # -d·s, but a zero sum stays int 0 whatever the type of d
         sums = _row_sum(t, terms, i, keep)
-        rows.append([0 if s == 0 else -s if d == 1 else s if d == -1 else -(d * s) for s in sums])
+        rows.append([0 if s == 0 else -(d * s) for s in sums])
         rows[-1].append(d)
         terms.append(_terms(rows[-1], keep))
     return Triangle(rows)

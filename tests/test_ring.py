@@ -710,3 +710,52 @@ def test_peel_matches_qrat_make_random():
         _assert_canonical(got)
         flips += type(want) is QRat and _coeff_list(b**e)[-1] < 0
     assert flips >= 10
+
+
+def _qrat_draws(rng):
+    """QRats from every route that builds one: QRat.make, +, -, *, unary
+    minus, powers with negative exponents, field_div and _peel with and
+    without its d power.  Each derived value takes its operands from the
+    seeds, so degrees stay small; routes that meet at one value (x + y - y,
+    x·y / y, a peel and the make of the same quotient) give equal pairs."""
+    seeds = []
+    while len(seeds) < 24:
+        r = QRat.make(_random_zq(rng), _random_den(rng) * rng.choice((1, -1)))
+        if type(r) is QRat:
+            seeds.append(r)
+    draws = list(seeds)
+    for _ in range(24):
+        x, y = rng.sample(seeds, 2)
+        z = _random_zq(rng)
+        b = rng.choice(_FACTORS) * rng.choice((1, -1))
+        d = rng.choice(_FACTORS[:-1])
+        e, f = rng.randrange(0, 3), rng.randrange(0, 3)
+        n = _random_zq(rng) * rng.choice((1, b, b * d))
+        draws += [
+            x + y, x - y, x * y, -x, x ** rng.randrange(-2, 3),
+            x + y - y, field_div(x * y, y), field_div(x, z or 1 + q),
+            ring._peel(n, b, e), ring._peel(n, b, e, d, f), QRat.make(n, b**e * d**f),
+        ]
+    return [v for v in draws if type(v) is QRat]
+
+
+def test_qrat_equality_is_canonical_and_agrees_with_hash_random():
+    # equality of QRats compares num and den, which is cross-multiplication
+    # only while every QRat is reduced with a positive leading denominator
+    rng = random.Random(20261025)
+    draws = _qrat_draws(rng)
+    equal_pairs = 0
+    for i, x in enumerate(draws):
+        assert type(x.num) in (int, QPoly) and type(x.den) in (int, QPoly)
+        assert QPoly in (type(x.num), type(x.den))
+        assert _coeff_list(x.den)[-1] > 0 and _zq_gcd(x.num, x.den) == 1
+        others = (0, 1, -1, Fraction(1, 2), q, x.num, x.den, QPoly.make(_coeff_list(x.num) + [0, 1]))
+        for v in others:
+            assert not x == v and not v == x and x != v
+        for y in draws[i:]:
+            same = x.num * y.den == y.num * x.den
+            assert (x == y) is same and (y == x) is same
+            if same:
+                assert hash(x) == hash(y)
+                equal_pairs += x is not y
+    assert len(draws) >= 200 and equal_pairs >= 50, (len(draws), equal_pairs)

@@ -15,9 +15,9 @@ Stdlib only; pytest does not collect this file.
 
     python tools/planted_faults.py [--timeout SECONDS] [NAME ...]
 
-Run it after a change to ``compare``, the Z[q] packing or
-``_slot_count``: an entry whose text no longer occurs is reported as
-stale and must be brought up to date.
+Run it after a change to ``compare``, the Z[q] packing, ``_slot_count``
+or the canonical form of ``QRat``: an entry whose text no longer occurs
+is reported as stale and must be brought up to date.
 """
 
 from __future__ import annotations
@@ -80,6 +80,13 @@ FAULTS = [
         "    for b, k in ((c, e), (d, f)):\n",
         "    for b, k in ((c, e),):\n",
         "tests/test_ring.py::test_grade_and_peel_match_qrat_make_random",
+    ),
+    Fault(
+        "reduced-without-its-sign-flip",
+        "src/cfmoments/ring.py",
+        "    if _zq_coeffs(d)[-1] < 0:\n        n, d = -n, -d\n",
+        "",
+        "tests/test_ring.py::test_qrat_equality_is_canonical_and_agrees_with_hash_random",
     ),
     Fault(
         "compare-skips-the-inverse-row-check",
